@@ -1,5 +1,6 @@
 # Development targets. `make check` is the gate a change must pass:
-# formatting, vet, and the full test suite under the race detector.
+# formatting, vet, the full test suite under the race detector, and the
+# bench/ module's own vet and tests.
 
 GO ?= go
 
@@ -9,9 +10,9 @@ GO ?= go
 # clean. CI reads this via `make print-staticcheck-version`.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: check fmt vet lint disco-lint print-staticcheck-version test test-race bench bench-compile build chaos
+.PHONY: check fmt vet lint disco-lint print-staticcheck-version test test-race bench-module bench bench-all bench-compile build chaos
 
-check: fmt lint test-race
+check: fmt lint test-race bench-module
 
 build:
 	$(GO) build ./...
@@ -62,23 +63,18 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# The perf trajectory: compiled vs tree-walking expression evaluation,
-# batched vs tuple-at-a-time Volcano iteration, remote point-query
-# throughput (pooled vs dial-per-request wire connections at 1/4/16
-# concurrent clients), prepared-statement hits vs full recompiles,
-# scatter-gather fan-out and partition pruning across 1/4/16 partitions,
-# replica failover with a dead primary (breaker-warm vs the cold timeout
-# path), the hedged-request tail cut with one slow copy (p99-ms, hedged vs
-# unhedged), read throughput scaling across 1/2/4 load-balanced copies,
-# overload protection (goodput-q/s, shed-%, admitted p99-ms at 1x/2x/4x
-# saturation), end-to-end cancellation (survivor goodput with cancel
-# propagation vs the no-cancel baseline, plus wasted handler executions),
-# and live shard migration (read p50/p99 before, during dual-read, and
-# after cutover, plus reader errors across the cutover itself).
-# The benchstat-compatible output lands in BENCH_PR9.json so runs can be
-# diffed across PRs (benchstat old.json new.json).
+# bench/ is its own module (replace disco => ../), so ./... above does not
+# reach it: an internal/* signature the benchmark imports can change and
+# everything else stays green. Vet and test it against this tree.
+bench-module:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
+# The repository's benchmark (BENCHMARK.json, bench/README.md): five
+# workloads over a 16-shard x 2-copy fleet on loopback TCP, end-to-end and
+# per-layer metrics as JSON on stdout.
 bench:
-	$(GO) test -run xxx -bench 'CompiledEval|Volcano|RemoteQuery|PreparedStatements|ScatterGather|PartitionPruning|Failover|HedgedTail|ReplicaThroughput|Overload|Cancellation|LiveMigration' -benchmem . | tee BENCH_PR9.json
+	bash bench/run.sh
 
 # The seeded fault-injection suite: chaos-proxy unit tests, the admission
 # gate and retry-budget tests, the chaos soaks (overload -> partition ->
@@ -89,6 +85,10 @@ bench:
 chaos:
 	$(GO) test -race -run 'TestChaosSoak|TestProxy|TestAdmission|TestRetryBudget|TestMediatorCloseWithQueriesQueued|TestQueryShed|TestClassifySourceError|TestHedgeLoserReclaimsServerWork|TestCallerCancelReclaimsServerWork' ./internal/chaos/ ./internal/core/ ./internal/harness/
 
+# The Go micro- and macro-benchmarks of bench_test.go, benchstat-
+# compatible. BENCH_PR2..9.json are earlier PRs' runs of subsets of these,
+# kept as the historical baseline (they include the dial-per-request and
+# no-cancel rows whose code is gone).
 bench-all:
 	$(GO) test -run xxx -bench . -benchmem .
 

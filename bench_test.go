@@ -1,11 +1,11 @@
 package disco
 
-// Benchmarks regenerating the per-experiment measurements indexed in
-// DESIGN.md (run: go test -bench=. -benchmem). The corresponding
-// human-readable tables come from cmd/disco-bench; these give the
-// machine-readable timings per operation, plus ablations for the design
-// choices DESIGN.md calls out (join algorithm, Earley recognition, plan
-// caching, wire encoding).
+// Go micro- and macro-benchmarks, one per mechanism the package doc in
+// disco.go describes (run: go test -bench=. -benchmem, or make bench-all).
+// The corresponding human-readable tables come from cmd/disco-bench; these
+// give the machine-readable timings per operation, plus ablations for the
+// design choices (join algorithm, Earley recognition, plan caching, wire
+// encoding). The repository's gating benchmark is bench/ (bench/README.md).
 
 import (
 	"context"
@@ -295,10 +295,10 @@ func BenchmarkPartitionPruning(b *testing.B) {
 }
 
 // BenchmarkRemoteQuery measures the wire layer itself: point queries over
-// real TCP from 1/4/16 concurrent client goroutines, pooled multiplexed
-// connections vs a fresh dial per request (the pre-pool baseline). The
-// pooled rows are the per-submit cost every remote scenario — federation,
-// sharding, partial answers — now pays.
+// real TCP from 1/4/16 concurrent client goroutines sharing one client's
+// pooled, multiplexed connections — the per-submit cost every remote
+// scenario (federation, sharding, partial answers) pays. BENCH_PR3.json
+// keeps the dial-per-request rows these replaced.
 func BenchmarkRemoteQuery(b *testing.B) {
 	store := source.NewRelStore()
 	if err := source.GenPeople(store, "person0", 200, 0); err != nil {
@@ -311,36 +311,30 @@ func BenchmarkRemoteQuery(b *testing.B) {
 	defer srv.Close()
 	const q = `select name from person0 where id = 7`
 
-	for _, mode := range []string{"dial", "pooled"} {
-		for _, clients := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("%s/clients=%d", mode, clients), func(b *testing.B) {
-				var opts []wire.ClientOption
-				if mode == "dial" {
-					opts = append(opts, wire.WithDialPerRequest())
-				}
-				c := wire.NewClient(srv.Addr(), opts...)
-				defer c.Close()
-				b.ResetTimer()
-				var next atomic.Int64
-				var wg sync.WaitGroup
-				for w := 0; w < clients; w++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for next.Add(1) <= int64(b.N) {
-							ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-							_, err := c.Query(ctx, wire.LangSQL, q)
-							cancel()
-							if err != nil {
-								b.Error(err)
-								return
-							}
+	for _, clients := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("pooled/clients=%d", clients), func(b *testing.B) {
+			c := wire.NewClient(srv.Addr())
+			defer c.Close()
+			b.ResetTimer()
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			for w := 0; w < clients; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for next.Add(1) <= int64(b.N) {
+						ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+						_, err := c.Query(ctx, wire.LangSQL, q)
+						cancel()
+						if err != nil {
+							b.Error(err)
+							return
 						}
-					}()
-				}
-				wg.Wait()
-			})
-		}
+					}
+				}()
+			}
+			wg.Wait()
+		})
 	}
 }
 
@@ -1241,13 +1235,12 @@ func BenchmarkOQLParse(b *testing.B) {
 // deadlines that retry overload sheds until they succeed. Goodput is the
 // survivors' completion rate.
 //
-// With cancel propagation (the default), an abandoned request frees its
-// server slot as soon as the cancel frame lands — the latency sleep aborts
-// and the handler never runs — so zombies occupy a fraction of the cap and
-// survivors get through. The WithoutCancelPropagation baseline is the
-// pre-cancellation protocol: every abandoned request holds its slot for the
-// full 20ms and executes for nobody, and the cap stays saturated with dead
-// work. wasted-exec counts handler executions whose caller had already
+// An abandoned request frees its server slot as soon as the cancel frame
+// lands — the latency sleep aborts and the handler never runs — so zombies
+// occupy a fraction of the cap and survivors get through. BENCH_PR8.json
+// keeps the no-cancel-baseline row of the pre-cancellation protocol, where
+// every abandoned request held its slot for the full 20ms and executed for
+// nobody. wasted-exec counts handler executions whose caller had already
 // walked away (the work cancellation exists to avoid).
 func BenchmarkCancellation(b *testing.B) {
 	const (
@@ -1257,104 +1250,96 @@ func BenchmarkCancellation(b *testing.B) {
 		abandonWait = 4 * time.Millisecond
 		survivors   = 2
 	)
-	for _, variant := range []struct {
-		name string
-		opts []wire.ClientOption
-	}{
-		{name: "propagate-cancel", opts: nil},
-		{name: "no-cancel-baseline", opts: []wire.ClientOption{wire.WithoutCancelPropagation()}},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			store := source.NewRelStore()
-			if err := source.GenPeople(store, "people", 20, 1); err != nil {
-				b.Fatal(err)
-			}
-			srv, err := wire.NewServer("127.0.0.1:0", core.EngineHandler{Engine: store},
-				wire.WithMaxServerInflight(serverCap))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Close()
-			srv.SetLatency(latency)
+	b.Run("propagate-cancel", func(b *testing.B) {
+		store := source.NewRelStore()
+		if err := source.GenPeople(store, "people", 20, 1); err != nil {
+			b.Fatal(err)
+		}
+		srv, err := wire.NewServer("127.0.0.1:0", core.EngineHandler{Engine: store},
+			wire.WithMaxServerInflight(serverCap))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Close()
+		srv.SetLatency(latency)
 
-			abandonC := wire.NewClient(srv.Addr(), variant.opts...)
-			defer abandonC.Close()
-			surviveC := wire.NewClient(srv.Addr(), variant.opts...)
-			defer surviveC.Close()
+		abandonC := wire.NewClient(srv.Addr())
+		defer abandonC.Close()
+		surviveC := wire.NewClient(srv.Addr())
+		defer surviveC.Close()
 
-			// Offered zombie load: each abandoner issues a doomed request,
-			// waits out its 4ms budget, pauses, repeats. The pacing keeps the
-			// zombie arrival rate fixed across variants, so the only variable
-			// is how long each zombie holds its server slot.
-			stop := make(chan struct{})
-			var awg sync.WaitGroup
-			for w := 0; w < abandoners; w++ {
-				awg.Add(1)
-				go func() {
-					defer awg.Done()
+		// Offered zombie load: each abandoner issues a doomed request,
+		// waits out its 4ms budget, pauses, repeats. The pacing keeps the
+		// zombie arrival rate fixed across variants, so the only variable
+		// is how long each zombie holds its server slot.
+		stop := make(chan struct{})
+		var awg sync.WaitGroup
+		for w := 0; w < abandoners; w++ {
+			awg.Add(1)
+			go func() {
+				defer awg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					ctx, cancel := context.WithTimeout(context.Background(), abandonWait)
+					_, _ = abandonC.Query(ctx, wire.LangSQL, "SELECT id FROM people")
+					cancel()
+					time.Sleep(8 * time.Millisecond)
+				}
+			}()
+		}
+
+		handlerRunsBefore := srv.Stats().Queries.Load()
+		var completed, sheds atomic.Int64
+		var next atomic.Int64
+		var swg sync.WaitGroup
+		b.ResetTimer()
+		start := time.Now()
+		for w := 0; w < survivors; w++ {
+			swg.Add(1)
+			go func() {
+				defer swg.Done()
+				for next.Add(1) <= int64(b.N) {
 					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						ctx, cancel := context.WithTimeout(context.Background(), abandonWait)
-						_, _ = abandonC.Query(ctx, wire.LangSQL, "SELECT id FROM people")
+						ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+						_, err := surviveC.Query(ctx, wire.LangSQL, "SELECT id FROM people")
 						cancel()
-						time.Sleep(8 * time.Millisecond)
-					}
-				}()
-			}
-
-			handlerRunsBefore := srv.Stats().Queries.Load()
-			var completed, sheds atomic.Int64
-			var next atomic.Int64
-			var swg sync.WaitGroup
-			b.ResetTimer()
-			start := time.Now()
-			for w := 0; w < survivors; w++ {
-				swg.Add(1)
-				go func() {
-					defer swg.Done()
-					for next.Add(1) <= int64(b.N) {
-						for {
-							ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-							_, err := surviveC.Query(ctx, wire.LangSQL, "SELECT id FROM people")
-							cancel()
-							if err == nil {
-								completed.Add(1)
-								break
-							}
-							var oe *wire.OverloadedError
-							if !errors.As(err, &oe) {
-								b.Errorf("survivor query: %v", err)
-								return
-							}
-							// Shed at the cap: back off briefly and retry, as
-							// the overload frame asks. Time spent here is the
-							// cost of the cap being full of zombies.
-							sheds.Add(1)
-							time.Sleep(time.Millisecond)
+						if err == nil {
+							completed.Add(1)
+							break
 						}
+						var oe *wire.OverloadedError
+						if !errors.As(err, &oe) {
+							b.Errorf("survivor query: %v", err)
+							return
+						}
+						// Shed at the cap: back off briefly and retry, as
+						// the overload frame asks. Time spent here is the
+						// cost of the cap being full of zombies.
+						sheds.Add(1)
+						time.Sleep(time.Millisecond)
 					}
-				}()
-			}
-			swg.Wait()
-			elapsed := time.Since(start).Seconds()
-			b.StopTimer()
-			close(stop)
-			awg.Wait()
+				}
+			}()
+		}
+		swg.Wait()
+		elapsed := time.Since(start).Seconds()
+		b.StopTimer()
+		close(stop)
+		awg.Wait()
 
-			handlerRuns := srv.Stats().Queries.Load() - handlerRunsBefore
-			wasted := handlerRuns - completed.Load()
-			if wasted < 0 {
-				wasted = 0
-			}
-			b.ReportMetric(float64(completed.Load())/elapsed, "goodput-q/s")
-			b.ReportMetric(float64(sheds.Load())/float64(b.N), "sheds/op")
-			b.ReportMetric(float64(wasted)/float64(b.N), "wasted-exec/op")
-		})
-	}
+		handlerRuns := srv.Stats().Queries.Load() - handlerRunsBefore
+		wasted := handlerRuns - completed.Load()
+		if wasted < 0 {
+			wasted = 0
+		}
+		b.ReportMetric(float64(completed.Load())/elapsed, "goodput-q/s")
+		b.ReportMetric(float64(sheds.Load())/float64(b.N), "sheds/op")
+		b.ReportMetric(float64(wasted)/float64(b.N), "wasted-exec/op")
+	})
 }
 
 // BenchmarkLiveMigration measures what a live shard move costs its readers.

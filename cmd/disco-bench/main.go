@@ -1,7 +1,7 @@
-// Command disco-bench regenerates the experiment tables recorded in
-// EXPERIMENTS.md: the two paper figures run as living systems (F1, F2) and
-// the experiments derived from the paper's claims (E1–E9), per the
-// index in DESIGN.md.
+// Command disco-bench prints the experiment tables of internal/harness:
+// the two paper figures run as living systems (F1, F2) and the experiments
+// derived from the paper's claims (E1–E9). The repository's gating
+// benchmark is a different program, bench/ (see bench/README.md).
 //
 // Usage:
 //

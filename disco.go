@@ -79,13 +79,23 @@
 //
 //	extent people of Person wrapper w0 at r0|r0b, r1|r1b, r2;
 //
-// A submit that finds its shard's primary unavailable (timeout, refused
-// or failed dial) transparently retries the shard's replicas, splitting
-// the remaining evaluation deadline over the copies left to try, so even
-// a cold failover reaches a live replica before the deadline. The answer
-// stays complete — partial evaluation fires only when every copy of a
-// shard is down. The replica contract mirrors the partitioning one:
-// every repository of a group must hold the same rows.
+// Every shard read is one race over the shard's copies, and a shard with
+// one copy is a race of one. Order: copies whose breaker admits them come
+// first, fastest learned response time leading (under WithLoadBalancing
+// the leader is drawn at weighted random); copies whose breaker refuses
+// form a last-resort tail. Failover: the first copy is dialed at once, and
+// when the newest attempt resolves unavailable (timeout, refused or failed
+// dial) the next admitted copy is dialed, each attempt holding an equal
+// share of the evaluation deadline left so even a cold failover reaches a
+// live replica in time. Hedge: under WithHedging the next admitted copy is
+// dialed early, beside an attempt that is still running. Last resort: the
+// refused tail is dialed, one copy at a time on its own reserved share,
+// only after every admitted copy resolved unavailable. The first answer
+// wins and the rest are cancelled; an error a source answered with ends
+// the race too, since no replica may mask it. The answer therefore stays
+// complete — partial evaluation fires only when every copy of a shard is
+// down. The replica contract mirrors the partitioning one: every
+// repository of a group must hold the same rows.
 //
 // Routing among a shard's copies is fed by two signals. The learned cost
 // history orders live copies fastest-first (an unmeasured copy never
@@ -205,7 +215,8 @@
 // and Trace.Shed record what the gate did to a query.
 //
 // Servers shed too: a wire server refuses requests beyond its per-
-// connection cap (and optional server-wide cap, WithMaxServerInflight)
+// connection cap (64 in flight; and an optional server-wide cap,
+// WithMaxServerInflight)
 // with an explicit overload frame instead of silently queueing them, so a
 // mediator learns of a saturated source while it can still act.
 //
@@ -445,10 +456,6 @@ type Server = wire.Server
 
 // ServerOption configures a Server.
 type ServerOption = wire.ServerOption
-
-// WithMaxInflight caps concurrent request execution per server connection;
-// requests beyond the cap are shed with an explicit overload frame.
-var WithMaxInflight = wire.WithMaxInflight
 
 // WithMaxServerInflight caps concurrent request execution across all of a
 // server's connections (0 = no server-wide cap); requests beyond the cap

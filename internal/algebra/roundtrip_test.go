@@ -9,9 +9,10 @@ import (
 	"disco/internal/types"
 )
 
-// TestMapRoundTripProperty is DESIGN.md's map-soundness invariant: pushing
-// a tuple through a random local transformation map into the source
-// namespace and renaming it back is the identity.
+// TestMapRoundTripProperty is the soundness invariant of the local
+// transformation maps (disco.go's package doc): pushing a tuple through a
+// random map into the source namespace and renaming it back is the
+// identity.
 func TestMapRoundTripProperty(t *testing.T) {
 	letters := []string{"alpha", "beta", "gamma", "delta", "eps"}
 	f := func(seed int64) bool {

@@ -192,8 +192,8 @@ func New() *Catalog {
 }
 
 // Version returns a counter that increases on every catalog change. The
-// optimizer keys its plan cache on it, implementing the §3.3 requirement
-// that cached plans be invalidated when extents change.
+// mediator keys its prepared-plan cache on it, implementing the §3.3
+// requirement that cached plans be invalidated when extents change.
 func (c *Catalog) Version() int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -1,8 +1,14 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"time"
+
+	"disco/internal/wire"
 )
 
 // Circuit-breaker defaults. A source is declared dead after
@@ -216,4 +222,91 @@ func (b *Breakers) State(repo string) BreakerState {
 		return s.state
 	}
 	return BreakerClosed
+}
+
+// noteOutcome feeds one submit attempt's result into the source's circuit
+// breaker: only a real answer counts as success (data, a remote error, or
+// an upstream mediator's partial answer — each proves the source alive),
+// only classified unavailability counts as failure, and everything else —
+// caller-side termination, mediator-side failures that never dialed the
+// source (wrapper lookup, translation) — records no verdict. Such an
+// attempt merely returns the half-open probe slot, and only if its launch
+// claimed one: a last-resort dial of a breaker-refused copy claimed
+// nothing, and releasing would free the slot a background probe holds.
+func (m *Mediator) noteOutcome(repo string, err error, claimed bool) {
+	var upstream *wire.PartialUpstreamError
+	var remote *wire.RemoteError
+	switch {
+	case err == nil:
+		m.breakers.Success(repo)
+	case errors.As(err, &upstream), errors.As(err, &remote):
+		// Checked before the unavailability case: classify wraps an
+		// upstream partial answer in an UnavailableError for partial
+		// evaluation, but for the breaker that source answered.
+		m.breakers.Success(repo)
+	case isUnavailableErr(err):
+		m.breakers.Failure(repo)
+	case claimed:
+		m.breakers.Release(repo)
+	}
+}
+
+// maybeProbe launches one background liveness probe of a source whose
+// breaker is not closed and whose cooldown has elapsed. Allow claims the
+// half-open probe slot, so concurrent queries start at most one probe per
+// source. The probe's verdict follows noteOutcome's taxonomy: only an
+// answer closes the breaker, only unreachability (timeout, dead network)
+// re-arms it, and a mediator-side failure that never consulted the source
+// (catalog lookup, a closed client) merely returns the probe slot.
+// Probes run on tracked goroutines: Close refuses new ones and waits for
+// those in flight, so no probe ever dials through a client pool Close has
+// already released.
+func (m *Mediator) maybeProbe(repo string) {
+	if m.breakers.State(repo) == BreakerClosed || !m.breakers.Allow(repo) {
+		return
+	}
+	m.probeMu.Lock()
+	if m.probeClosed {
+		m.probeMu.Unlock()
+		// Allow claimed the half-open probe slot; hand it back, or the
+		// breaker would stay pinned half-open with no probe in flight.
+		m.breakers.Release(repo)
+		return
+	}
+	m.probeWG.Add(1)
+	m.probeMu.Unlock()
+	go func() {
+		defer m.probeWG.Done()
+		switch err := m.pingRepo(repo); {
+		case err == nil:
+			m.breakers.Success(repo)
+		case errors.Is(err, context.DeadlineExceeded) || isUnavailableNetErr(err):
+			m.breakers.Failure(repo)
+		default:
+			m.breakers.Release(repo)
+		}
+	}()
+}
+
+// pingRepo checks a repository's liveness: in-process engines by registry
+// lookup, remote repositories by a wire ping within the evaluation
+// deadline.
+func (m *Mediator) pingRepo(repo string) error {
+	r, err := m.catalog.Repository(repo)
+	if err != nil {
+		return err
+	}
+	if name, ok := strings.CutPrefix(r.Address, "mem:"); ok {
+		m.mu.Lock()
+		_, found := m.engines[name]
+		m.mu.Unlock()
+		if !found {
+			return fmt.Errorf("mediator: no in-process engine %q", name)
+		}
+		return nil
+	}
+	//lint:allow ctxflow breaker probes deliberately outlive the query that triggered them (probeWG-tracked, bounded by the mediator timeout): a caller walking away must not strand the breaker half-open
+	ctx, cancel := context.WithTimeout(context.Background(), m.timeout)
+	defer cancel()
+	return m.clientFor(r.Address).Ping(ctx)
 }

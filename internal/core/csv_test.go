@@ -4,11 +4,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"disco/internal/source"
 	"disco/internal/types"
+	"disco/internal/wrapper"
 )
 
 // relFromRows builds a RelStore with an (id, name, salary) table.
@@ -102,5 +104,46 @@ func TestCSVWrapperMissingProps(t *testing.T) {
 	if _, err := m.Query(`select t from t in data`); err == nil ||
 		!strings.Contains(err.Error(), "path and collection") {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// TestWrapperInstanceConcurrentFirstUse: concurrent first submits to one
+// wrapper@repository all get the same instance — the one that reached the
+// map first — instead of each keeping its own parse of the file and the
+// last overwriting the rest. Run under -race.
+func TestWrapperInstanceConcurrentFirstUse(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "lab.csv")
+	if err := os.WriteFile(path, []byte("sample,ph\nS1,7.2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m := New()
+	if err := m.ExecODL(`
+		rlab := Repository(address="file:lab");
+		wcsv := Wrapper("csv", path="` + path + `", collection="lab");
+	`); err != nil {
+		t.Fatal(err)
+	}
+	const callers = 16
+	got := make([]wrapper.Wrapper, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			w, err := m.wrapperInstance("wcsv", "rlab")
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = w
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, w := range got {
+		if w != got[0] {
+			t.Fatalf("caller %d got a different wrapper instance than caller 0", i)
+		}
 	}
 }

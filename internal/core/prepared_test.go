@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -95,10 +96,13 @@ func TestPreparedStatementCacheViewInvalidation(t *testing.T) {
 }
 
 // TestPreparedStatementCacheBounded: the cache never grows past its bound;
-// old entries are evicted, not leaked.
+// old entries are evicted, not leaked. These are the only plans a mediator
+// retains — the optimizer keeps none — so an ad-hoc stream of never-
+// repeating texts holds at most maxPreparedPlans of them for good.
 func TestPreparedStatementCacheBounded(t *testing.T) {
 	m := paperMediator(t)
-	for i := 0; i < maxPreparedPlans+20; i++ {
+	const adHoc = 2000
+	for i := 0; i < adHoc; i++ {
 		q := fmt.Sprintf(`select x.name from x in person0 where x.salary > %d`, i)
 		if _, _, err := m.Prepare(q); err != nil {
 			t.Fatal(err)
@@ -112,9 +116,48 @@ func TestPreparedStatementCacheBounded(t *testing.T) {
 		t.Errorf("cache holds %d entries (%d in order), bound %d", n, order, maxPreparedPlans)
 	}
 	// The newest query is still cached.
-	q := fmt.Sprintf(`select x.name from x in person0 where x.salary > %d`, maxPreparedPlans+19)
+	q := fmt.Sprintf(`select x.name from x in person0 where x.salary > %d`, adHoc-1)
 	if _, tr, err := m.Prepare(q); err != nil || !tr.CacheHit {
 		t.Errorf("newest entry evicted? err=%v", err)
+	}
+}
+
+// TestExplainExplainsThePreparedPlan: Explain goes through the prepared
+// cache, so the plan it marks chosen is the plan a query of the same text
+// runs — also after the cost history has moved on from what the plan was
+// chosen under — and explaining a text prepares it.
+func TestExplainExplainsThePreparedPlan(t *testing.T) {
+	m := paperMediator(t)
+	const q = `select x.name from x in person where x.salary > 10`
+	plan, _, err := m.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Whatever this teaches the cost model, q stays pinned to its plan.
+	for i := 0; i < 5; i++ {
+		if _, err := m.Query(`select x from x in person`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	report, err := m.Explain(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chosen := ""
+	for _, line := range strings.Split(report, "\n") {
+		if strings.HasPrefix(line, "=>") {
+			chosen = line
+		}
+	}
+	if !strings.HasSuffix(chosen, " "+plan.String()) {
+		t.Errorf("Explain chose\n%s\nbut the prepared plan is\n%s", chosen, plan)
+	}
+	const fresh = `select x.name from x in person where x.salary > 11`
+	if _, err := m.Explain(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if _, tr, err := m.Prepare(fresh); err != nil || !tr.CacheHit {
+		t.Errorf("Explain did not prepare its text: err=%v", err)
 	}
 }
 

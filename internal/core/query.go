@@ -149,11 +149,10 @@ func (m *Mediator) prepare(src string) (preparedPlan, *Trace, error) {
 	tr.Compile = time.Since(t0)
 
 	t0 = time.Now()
-	optimized, report := m.opt.Optimize(plan, version)
+	optimized, report := m.opt.Optimize(plan)
 	tr.Optimize = time.Since(t0)
 	tr.Plan = optimized.String()
-	tr.CacheHit = report.CacheHit
-	entry := m.preparedStore(src, version, preparedPlan{plan: optimized, str: tr.Plan, progs: oql.NewProgramCache()})
+	entry := m.preparedStore(src, version, preparedPlan{plan: optimized, str: tr.Plan, report: report, progs: oql.NewProgramCache()})
 	return entry, tr, nil
 }
 
@@ -300,22 +299,14 @@ func (m *Mediator) OverloadStats() (shed, retried, retryBudgetExhausted int64) {
 }
 
 // Explain returns the optimizer's report for a query: every candidate plan
-// with its estimated cost, the chosen one marked.
+// with its estimated cost, the chosen one marked. It goes through the
+// prepared cache, so it explains the plan a Query of the same text runs.
 func (m *Mediator) Explain(src string) (string, error) {
-	expr, err := oql.ParseQuery(src)
+	entry, _, err := m.prepare(src)
 	if err != nil {
 		return "", err
 	}
-	expanded, err := m.expandViews(expr)
-	if err != nil {
-		return "", err
-	}
-	plan, err := algebra.Compile(expanded, planResolver{m: m})
-	if err != nil {
-		return "", err
-	}
-	_, report := m.opt.Optimize(plan, m.catalog.Version())
-	out := report.String()
+	out := entry.report.String()
 	if hot := m.hotShardReport(); hot != "" {
 		if !strings.HasSuffix(out, "\n") {
 			out += "\n"

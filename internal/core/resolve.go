@@ -321,7 +321,7 @@ type mediatorCaps struct {
 
 // Accepts implements algebra.Capabilities.
 func (c *mediatorCaps) Accepts(repo string, expr algebra.Node) bool {
-	w, err := c.m.wrapperForExpr(repo, expr)
+	w, err := c.m.wrapperFor(repo, exprRefs(expr))
 	if err != nil {
 		return false
 	}

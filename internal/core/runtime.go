@@ -4,22 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"net"
 	"sort"
-	"strings"
-	"syscall"
 	"time"
 
 	"disco/internal/algebra"
-	"disco/internal/capability"
-	"disco/internal/catalog"
 	"disco/internal/costmodel"
 	"disco/internal/oql"
 	"disco/internal/physical"
 	"disco/internal/types"
-	"disco/internal/wire"
 	"disco/internal/wrapper"
 )
 
@@ -36,18 +29,17 @@ func (m *Mediator) buildPhysical(plan algebra.Node, progs *oql.ProgramCache) (*p
 	return physical.Build(plan, rt)
 }
 
-// submit is the mediator side of the exec physical algorithm (§3.3) with
-// replica failover: it executes the expression at the shard's primary and,
-// when the primary is classified unavailable, retries the shard's declared
-// replicas before giving up. Partial evaluation therefore fires only when
-// every copy of a shard is down. The per-source circuit breaker routes
-// around copies that recently failed (a warm breaker skips a dead primary
-// without re-paying its timeout) and the learned cost history orders the
-// healthy copies fastest-first.
+// submit is the mediator side of the exec physical algorithm (§3.3): it
+// reads the expression's extent refs once, counts the logical shard read,
+// orders the shard's copies and races them. Partial evaluation fires only
+// when every copy of the shard is down (§4: no answer ⇒ residual).
 func (m *Mediator) submit(ctx context.Context, repo string, expr algebra.Node) (*types.Bag, error) {
 	refs := exprRefs(expr)
 	m.countShardReads(refs)
-	bag, err := m.submitShard(ctx, repo, expr)
+	cands := m.orderCandidates(m.submitCandidates(repo, refs), expr)
+	bag, err := m.race(ctx, repo, cands, func(ctx context.Context, cand string) (*types.Bag, error) {
+		return m.submitOnce(ctx, cand, expr, refs)
+	})
 	if err != nil && isUnavailableErr(err) && allStandby(refs) {
 		// The unreachable copy is the *new* placement of a migrating shard
 		// (the standby branch of a dual-read). The old placement branch still
@@ -87,334 +79,165 @@ func allStandby(refs []algebra.ExtentRef) bool {
 	return true
 }
 
-// submitShard routes one shard read through failover, load balancing and
-// hedging.
-func (m *Mediator) submitShard(ctx context.Context, repo string, expr algebra.Node) (*types.Bag, error) {
-	cands := m.submitCandidates(repo, expr)
-	if len(cands) == 1 {
-		bag, err := m.submitOnce(ctx, repo, expr)
-		m.noteOutcome(repo, err)
-		// A one-copy source gets the same background probe pass as a
-		// replica group: after an open breaker's cooldown, recovery is
-		// rediscovered by a ping instead of a user query re-paying the
-		// full timeout.
-		m.maybeProbe(repo)
-		return bag, err
-	}
-	ordered := m.orderCandidates(cands, expr)
-	if m.loadBalance {
-		ordered = m.rebalance(ordered)
-	}
-	bag, err := m.submitFailover(ctx, repo, expr, ordered)
-	// Half-open probes ride query traffic: copies this query routed around
-	// while their breaker was open are pinged in the background once their
-	// cooldown elapses, so a recovered primary rejoins without a user query
-	// paying for the discovery.
-	for _, cand := range cands {
-		m.maybeProbe(cand)
-	}
-	return bag, err
-}
+// attemptFunc executes the submit expression at one copy of the shard.
+// The race reaches sources only through it, so tests drive the race with a
+// fake.
+type attemptFunc func(ctx context.Context, repo string) (*types.Bag, error)
 
-// rebalance spreads read traffic across a shard's healthy copies: the head
-// of the candidate list is drawn at weighted random from the leading run
-// of closed-breaker copies, weight inverse to the copy's recent median
-// latency. An unmeasured copy weighs as much as the fastest measured one
-// (new replicas must attract traffic to be learned at all), and every
-// weight is floored at 1/20 of the fastest so a slow copy keeps ~5% of the
-// traffic — the trickle that notices when it speeds up. Failover order
-// behind the head is untouched.
-func (m *Mediator) rebalance(cands []string) []string {
-	lead := 0
-	for _, c := range cands {
-		if m.breakers.State(c) != BreakerClosed {
-			break
-		}
-		lead++
-	}
-	if lead < 2 {
-		return cands
-	}
-	weights := make([]float64, lead)
-	maxW := 0.0
-	for i := 0; i < lead; i++ {
-		if p50, ok := m.history.Quantile(cands[i], 0.5); ok {
-			lat := p50
-			if lat < 100*time.Microsecond {
-				lat = 100 * time.Microsecond
-			}
-			weights[i] = 1 / float64(lat)
-			if weights[i] > maxW {
-				maxW = weights[i]
-			}
-		}
-	}
-	if maxW == 0 {
-		maxW = 1
-	}
-	total := 0.0
-	for i := range weights {
-		if weights[i] == 0 {
-			weights[i] = maxW
-		} else if weights[i] < maxW/20 {
-			weights[i] = maxW / 20
-		}
-		total += weights[i]
-	}
-	r := rand.Float64() * total
-	pick := 0
-	for i, w := range weights {
-		if r -= w; r < 0 {
-			pick = i
-			break
-		}
-	}
-	if pick == 0 {
-		return cands
-	}
-	out := make([]string, 0, len(cands))
-	out = append(out, cands[pick])
-	out = append(out, cands[:pick]...)
-	return append(out, cands[pick+1:]...)
-}
-
-// maybeProbe launches one background liveness probe of a source whose
-// breaker is not closed and whose cooldown has elapsed. Allow claims the
-// half-open probe slot, so concurrent queries start at most one probe per
-// source. The probe's verdict follows noteOutcome's taxonomy: only an
-// answer closes the breaker, only unreachability (timeout, dead network)
-// re-arms it, and a mediator-side failure that never consulted the source
-// (catalog lookup, a closed client) merely returns the probe slot.
-// Probes run on tracked goroutines: Close refuses new ones and waits for
-// those in flight, so no probe ever dials through a client pool Close has
-// already released.
-func (m *Mediator) maybeProbe(repo string) {
-	if m.breakers.State(repo) == BreakerClosed || !m.breakers.Allow(repo) {
-		return
-	}
-	m.probeMu.Lock()
-	if m.probeClosed {
-		m.probeMu.Unlock()
-		// Allow claimed the half-open probe slot; hand it back, or the
-		// breaker would stay pinned half-open with no probe in flight.
-		m.breakers.Release(repo)
-		return
-	}
-	m.probeWG.Add(1)
-	m.probeMu.Unlock()
-	go func() {
-		defer m.probeWG.Done()
-		switch err := m.pingRepo(repo); {
-		case err == nil:
-			m.breakers.Success(repo)
-		case errors.Is(err, context.DeadlineExceeded) || isUnavailableNetErr(err):
-			m.breakers.Failure(repo)
-		default:
-			m.breakers.Release(repo)
-		}
-	}()
-}
-
-// pingRepo checks a repository's liveness: in-process engines by registry
-// lookup, remote repositories by a wire ping within the evaluation
-// deadline.
-func (m *Mediator) pingRepo(repo string) error {
-	r, err := m.catalog.Repository(repo)
-	if err != nil {
-		return err
-	}
-	if name, ok := strings.CutPrefix(r.Address, "mem:"); ok {
-		m.mu.Lock()
-		_, found := m.engines[name]
-		m.mu.Unlock()
-		if !found {
-			return fmt.Errorf("mediator: no in-process engine %q", name)
-		}
-		return nil
-	}
-	//lint:allow ctxflow breaker probes deliberately outlive the query that triggered them (probeWG-tracked, bounded by the mediator timeout): a caller walking away must not strand the breaker half-open
-	ctx, cancel := context.WithTimeout(context.Background(), m.timeout)
-	defer cancel()
-	return m.clientFor(r.Address).Ping(ctx)
-}
-
-// submitFailover tries the shard's candidate copies: copies whose breaker
-// admits them first — raced, so an unavailable or straggling copy hands
-// over to the next without the shard waiting out every timeout in series —
-// then, only if none of those answered, the copies whose breaker refused,
-// as a last resort. The breaker may therefore delay a copy behind the
-// healthy ones, but it can never leave a copy undialed while the shard
-// goes unanswered ("a breaker can delay but never forge a partial
-// answer"). A real (answered) error aborts immediately; classified
-// unavailability moves on to the next copy.
+// race runs one shard read over the shard's ordered copies; it is the only
+// place that moves from one copy to the next. Copies whose breaker admits
+// them race first: the first arm launches immediately, and another
+// launches when the newest resolves unavailable (failover), when it
+// outlasts the hedge trigger (hedged request), or when the scatter-gather
+// straggler hook fires. Copies whose breaker refused — at partition time
+// or at launch — form the last-resort tail: one at a time, only once every
+// admitted arm has resolved unavailable, never as a hedge. A breaker can
+// therefore delay a copy but never leave it undialed while the shard goes
+// unanswered. A one-copy shard is a race of one.
 //
-// The evaluation budget splits over the healthy copies first; the
-// deferred ones re-split whatever is left only if reached. Splitting over
-// all copies up front would let a crowd of breaker-refused replicas
-// starve the first healthy one of deadline.
-func (m *Mediator) submitFailover(ctx context.Context, shard string, expr algebra.Node, cands []string) (*types.Bag, error) {
-	var healthy, deferred []string
+// The first answer wins and the losers are cancelled; a cancelled loser
+// classifies as caller-side termination, so it records no breaker verdict
+// and no cost observation. An answered error wins too: the source reported
+// a genuine failure (or the caller ended the query) and no replica may
+// mask it. Only when every copy resolved unavailable does the race return
+// an UnavailableError naming the shard.
+//
+// The evaluation budget splits over the admitted arms, with one share
+// reserved for the tail so the last resort stays dialable; the tail
+// re-splits whatever is left when reached. Splitting over all copies up
+// front would let a crowd of refused replicas starve the first healthy one.
+func (m *Mediator) race(ctx context.Context, shard string, cands []string, attempt attemptFunc) (*types.Bag, error) {
+	order := make([]string, 0, len(cands))
+	var tail []string
 	for _, cand := range cands {
 		if m.breakers.Admittable(cand) {
-			healthy = append(healthy, cand)
+			order = append(order, cand)
 		} else {
-			deferred = append(deferred, cand)
+			tail = append(tail, cand)
 		}
 	}
-	// The deferred tail collectively reserves one deadline share: enough
-	// that the last resort is still dialable after the healthy copies
-	// burn their shares, without a crowd of refused copies starving the
-	// first healthy one.
-	reserve := 0
-	if len(deferred) > 0 {
-		reserve = 1
-	}
-	attempted := 0
-	var lastUnavail error
-	if len(healthy) > 0 && ctx.Err() == nil {
-		bag, err, done := m.raceArms(ctx, expr, healthy, reserve, &attempted, &deferred)
-		if done {
-			return bag, err
-		}
-		if err != nil {
-			lastUnavail = err
-		}
-	}
-	for i, cand := range deferred {
-		if ctx.Err() != nil {
-			break
-		}
-		actx, cancel := attemptCtx(ctx, len(deferred)-i)
-		bag, err := m.submitOnce(actx, cand, expr)
-		m.noteOutcome(cand, err)
-		cancel()
-		attempted++
-		if err == nil {
-			return bag, nil
-		}
-		if !isUnavailableErr(err) {
-			// The source answered with a genuine failure (or the caller
-			// ended the query): no replica may mask it.
-			return nil, err
-		}
-		lastUnavail = err
-	}
-	if attempted == 0 {
-		// The caller's context died before any copy could be dialed.
-		err := ctx.Err()
-		if err == nil {
-			err = errors.New("no candidate attempted")
-		}
-		return nil, classifySourceError(ctx, shard, fmt.Errorf("mediator: submit to %s: %w", shard, err))
-	}
-	return nil, &physical.UnavailableError{
-		Repo: shard,
-		Err:  fmt.Errorf("no replica answered: %w", lastUnavail),
-	}
-}
+	admitted := len(order)
+	order = append(order, tail...)
 
-// armResult carries one racing arm's outcome back to the coordinator.
-type armResult struct {
-	idx int
-	bag *types.Bag
-	err error
-}
+	type arm struct {
+		cancel context.CancelFunc
+		hedge  bool
+	}
+	type result struct {
+		arm int
+		bag *types.Bag
+		err error
+	}
+	arms := make([]arm, 0, len(order))
+	results := make(chan result, len(order)) // every copy launches at most once
+	defer func() {
+		// arms grows only in this goroutine, so the sweep sees every arm;
+		// cancelling the winner after its result is in hand is a no-op.
+		for _, a := range arms {
+			a.cancel()
+		}
+		// Half-open probes ride query traffic: copies routed around while
+		// their breaker was open are pinged in the background once their
+		// cooldown elapses, so a recovered copy — a lone one included —
+		// rejoins without a user query re-paying its timeout.
+		for _, cand := range cands {
+			m.maybeProbe(cand)
+		}
+	}()
 
-// raceArms drives a shard's healthy copies as racing arms. The first arm
-// launches immediately; another launches when the newest arm resolves
-// unavailable (plain failover), when it outlasts the hedge trigger
-// (hedged request), or when the scatter-gather straggler hook fires. The
-// first answer — or answered error — wins and the losers are cancelled. A
-// cancelled loser classifies as caller-side termination, so its breaker
-// verdict is a slot Release (neither success nor failure) and its cost
-// history records nothing: losing a race is not evidence about the
-// source.
-//
-// done=false means every arm resolved unavailable (err holds the last
-// unavailability) and the caller should fall through to the
-// breaker-deferred copies. Copies whose breaker refuses the launch-time
-// Allow (the state moved since partitioning) are appended to deferred.
-func (m *Mediator) raceArms(ctx context.Context, expr algebra.Node, healthy []string, reserve int, attempted *int, deferred *[]string) (*types.Bag, error, bool) {
-	results := make(chan armResult, len(healthy))
-	var cancels []context.CancelFunc
-	var isHedge []bool
-	next := 0
-	inflight := 0
+	next, inflight := 0, 0
 	launch := func(hedge bool) bool {
-		for next < len(healthy) {
-			cand := healthy[next]
-			remaining := len(healthy) - next + reserve
-			next++
-			if !m.breakers.Allow(cand) {
-				*deferred = append(*deferred, cand)
-				continue
+		for next < len(order) && ctx.Err() == nil {
+			i, cand := next, order[next]
+			inTail := i >= admitted
+			if inTail && (hedge || inflight > 0) {
+				return false
 			}
-			actx, cancel := attemptCtx(ctx, remaining)
-			idx := len(cancels)
-			cancels = append(cancels, cancel)
-			isHedge = append(isHedge, hedge)
+			next++
+			shares := len(order) - i // the tail re-splits what is left
+			if !inTail {
+				if !m.breakers.Allow(cand) {
+					// The state moved since partitioning: last resort.
+					order = append(order, cand)
+					continue
+				}
+				shares = admitted - i
+				if len(order) > admitted {
+					shares++ // reserved for the tail
+				}
+			}
+			actx, cancel := attemptCtx(ctx, shares)
+			idx := len(arms)
+			arms = append(arms, arm{cancel: cancel, hedge: hedge})
 			if hedge {
 				m.hedgesFired.Add(1)
 			}
 			inflight++
-			*attempted++
 			go func() {
-				bag, err := m.submitOnce(actx, cand, expr)
-				m.noteOutcome(cand, err)
-				results <- armResult{idx: idx, bag: bag, err: err}
+				bag, err := attempt(actx, cand)
+				// A tail arm claimed no probe slot, so it has none to return.
+				m.noteOutcome(cand, err, !inTail)
+				results <- result{arm: idx, bag: bag, err: err}
 			}()
 			return true
 		}
 		return false
 	}
-	// cancels grows only in this goroutine, so the deferred sweep sees
-	// every arm; cancelling the winner's context after its result is
-	// already in hand is a no-op.
-	defer func() {
-		for _, cancel := range cancels {
-			cancel()
-		}
-	}()
 
 	var hedgeC <-chan time.Time
+	var hurry <-chan struct{}
+	var hedgeAfter time.Duration
 	rearmHedge := func() {
 		hedgeC = nil
-		if m.hedge && next < len(healthy) {
-			hedgeC = time.After(m.hedgeDelay(healthy))
+		if hedgeAfter > 0 && next < admitted {
+			hedgeC = time.After(hedgeAfter)
 		}
 	}
-	hurry := physical.HurryChan(ctx)
-	if !m.hedge {
-		hurry = nil
+
+	// giveUp is the verdict once nothing is in flight and nothing can
+	// launch; last is the newest arm's unavailability, nil when the context
+	// died before any copy could be dialed.
+	giveUp := func(last error) error {
+		if ctx.Err() != nil {
+			// The query's own context ended. classify tells a caller's cancel
+			// or deadline — a plain error, never a residual — from the §4
+			// evaluation deadline, under which the copies' verdict stands.
+			ended := classifySourceError(ctx, shard, fmt.Errorf("mediator: submit to %s: %w", shard, ctx.Err()))
+			if last == nil || !isUnavailableErr(ended) {
+				return ended
+			}
+		}
+		if len(cands) == 1 {
+			return last // the lone copy's verdict already names the shard
+		}
+		return &physical.UnavailableError{Repo: shard, Err: fmt.Errorf("no replica answered: %w", last)}
 	}
 
 	if !launch(false) {
-		return nil, nil, false
+		return nil, giveUp(nil)
+	}
+	if m.hedge && admitted > 1 {
+		hurry = physical.HurryChan(ctx)
+		hedgeAfter = m.hedgeDelay(order[:admitted]) // after the first dial, not before it
 	}
 	rearmHedge()
-
-	var lastUnavail error
 	for {
 		// inflight >= 1 here: after a result either a new arm launches or,
-		// when none is left, the race returns — so the select cannot block
+		// when none can, the race returns — so the select cannot block
 		// forever (every arm's context is bounded by the caller's).
 		select {
 		case r := <-results:
 			inflight--
-			if r.err == nil {
-				if isHedge[r.idx] {
-					m.hedgesWon.Add(1)
-				}
-				return r.bag, nil, true
+			if r.err == nil && arms[r.arm].hedge {
+				m.hedgesWon.Add(1)
 			}
-			if !isUnavailableErr(r.err) {
-				return nil, r.err, true
+			if r.err == nil || !isUnavailableErr(r.err) {
+				return r.bag, r.err
 			}
-			lastUnavail = r.err
 			if launch(false) {
 				rearmHedge()
 			} else if inflight == 0 {
-				return nil, lastUnavail, false
+				return nil, giveUp(r.err)
 			}
 		case <-hedgeC:
 			if m.allowHedge() && launch(true) {
@@ -483,9 +306,9 @@ func attemptCtx(ctx context.Context, remaining int) (context.Context, context.Ca
 // the submit expression reads, primary first: the intersection of the
 // replica groups of the expression's extent refs (an expression reading
 // two extents can only fail over to a repository holding both).
-func (m *Mediator) submitCandidates(repo string, expr algebra.Node) []string {
+func (m *Mediator) submitCandidates(repo string, refs []algebra.ExtentRef) []string {
 	var cands []string
-	for _, ref := range exprRefs(expr) {
+	for _, ref := range refs {
 		group := ref.Replicas
 		if len(group) == 0 {
 			if me, err := m.catalog.Extent(ref.Extent); err == nil {
@@ -530,8 +353,11 @@ func intersectOrdered(a, b []string) []string {
 // measured ones (the optimizer's zero-time default would otherwise make
 // every unknown replica leapfrog a known-fast primary), and ties keep
 // declaration order, so the primary leads until the history says
-// otherwise.
+// otherwise. Under WithLoadBalancing the head is then redrawn (rebalance).
 func (m *Mediator) orderCandidates(cands []string, expr algebra.Node) []string {
+	if len(cands) < 2 {
+		return cands
+	}
 	type ranked struct {
 		repo string
 		rank int
@@ -566,37 +392,72 @@ func (m *Mediator) orderCandidates(cands []string, expr algebra.Node) []string {
 	for i, r := range rs {
 		out[i] = r.repo
 	}
+	if m.loadBalance {
+		return m.rebalance(out)
+	}
 	return out
 }
 
-// noteOutcome feeds one submit attempt's result into the source's circuit
-// breaker: only a real answer counts as success (data, a remote error, or
-// an upstream mediator's partial answer — each proves the source alive),
-// only classified unavailability counts as failure, and everything else —
-// caller-side termination, mediator-side failures that never dialed the
-// source (wrapper lookup, translation) — records no verdict, merely
-// returning any half-open probe slot the attempt had claimed.
-func (m *Mediator) noteOutcome(repo string, err error) {
-	var upstream *wire.PartialUpstreamError
-	var remote *wire.RemoteError
-	switch {
-	case err == nil:
-		m.breakers.Success(repo)
-	case errors.As(err, &upstream), errors.As(err, &remote):
-		// Checked before the unavailability case: classify wraps an
-		// upstream partial answer in an UnavailableError for partial
-		// evaluation, but for the breaker that source answered.
-		m.breakers.Success(repo)
-	case isUnavailableErr(err):
-		m.breakers.Failure(repo)
-	default:
-		m.breakers.Release(repo)
+// rebalance spreads read traffic across a shard's healthy copies: the head
+// of the candidate list is drawn at weighted random from the leading run
+// of closed-breaker copies, weight inverse to the copy's recent median
+// latency. An unmeasured copy weighs as much as the fastest measured one
+// (new replicas must attract traffic to be learned at all), and every
+// weight is floored at 1/20 of the fastest so a slow copy keeps ~5% of the
+// traffic — the trickle that notices when it speeds up. Failover order
+// behind the head is untouched.
+func (m *Mediator) rebalance(cands []string) []string {
+	lead := 0
+	for _, c := range cands {
+		if m.breakers.State(c) != BreakerClosed {
+			break
+		}
+		lead++
 	}
-}
-
-func isUnavailableErr(err error) bool {
-	var ue *physical.UnavailableError
-	return errors.As(err, &ue)
+	if lead < 2 {
+		return cands
+	}
+	weights := make([]float64, lead)
+	maxW := 0.0
+	for i := 0; i < lead; i++ {
+		if p50, ok := m.history.Quantile(cands[i], 0.5); ok {
+			lat := p50
+			if lat < 100*time.Microsecond {
+				lat = 100 * time.Microsecond
+			}
+			weights[i] = 1 / float64(lat)
+			if weights[i] > maxW {
+				maxW = weights[i]
+			}
+		}
+	}
+	if maxW == 0 {
+		maxW = 1
+	}
+	total := 0.0
+	for i := range weights {
+		if weights[i] == 0 {
+			weights[i] = maxW
+		} else if weights[i] < maxW/20 {
+			weights[i] = maxW / 20
+		}
+		total += weights[i]
+	}
+	r := rand.Float64() * total
+	pick := 0
+	for i, w := range weights {
+		if r -= w; r < 0 {
+			pick = i
+			break
+		}
+	}
+	if pick == 0 {
+		return cands
+	}
+	out := make([]string, 0, len(cands))
+	out = append(out, cands[pick])
+	out = append(out, cands[:pick]...)
+	return append(out, cands[pick+1:]...)
 }
 
 // submitOnce is submitAttempt plus the retry budget: a classified
@@ -611,8 +472,8 @@ func isUnavailableErr(err error) bool {
 // or whose retry fails transiently again, degrades to an UnavailableError
 // so replica failover and partial evaluation take over: the caller sees a
 // residual, not a torn connection.
-func (m *Mediator) submitOnce(ctx context.Context, repo string, expr algebra.Node) (*types.Bag, error) {
-	bag, err := m.submitAttempt(ctx, repo, expr)
+func (m *Mediator) submitOnce(ctx context.Context, repo string, expr algebra.Node, refs []algebra.ExtentRef) (*types.Bag, error) {
+	bag, err := m.submitAttempt(ctx, repo, expr, refs)
 	var tr *TransientError
 	if err == nil || !errors.As(err, &tr) {
 		return bag, err
@@ -622,7 +483,7 @@ func (m *Mediator) submitOnce(ctx context.Context, repo string, expr algebra.Nod
 			m.retries.Add(1)
 			retryBackoff(ctx)
 			if ctx.Err() == nil {
-				bag, err = m.submitAttempt(ctx, repo, expr)
+				bag, err = m.submitAttempt(ctx, repo, expr, refs)
 				if err == nil {
 					return bag, nil
 				}
@@ -661,9 +522,10 @@ func retryBackoff(ctx context.Context) {
 // the wrapper serving the expression, translates the expression into the
 // source namespace via the local transformation maps, executes it, renames
 // and type-checks the results, and records the call in the cost history.
-func (m *Mediator) submitAttempt(ctx context.Context, repo string, expr algebra.Node) (*types.Bag, error) {
+// refs is exprRefs(expr), which submit walks once for all its attempts.
+func (m *Mediator) submitAttempt(ctx context.Context, repo string, expr algebra.Node, refs []algebra.ExtentRef) (*types.Bag, error) {
 	m.submits.Add(1) // hedge-budget denominator: every source attempt counts
-	w, err := m.wrapperForExpr(repo, expr)
+	w, err := m.wrapperFor(repo, refs)
 	if err != nil {
 		return nil, err
 	}
@@ -679,7 +541,6 @@ func (m *Mediator) submitAttempt(ctx context.Context, repo string, expr algebra.
 	elapsed := time.Since(start)
 
 	// Reformat: rename attributes back into the mediator namespace.
-	refs := exprRefs(expr)
 	bag, err = types.BagMap(bag, func(e types.Value) (types.Value, error) {
 		st, ok := e.(*types.Struct)
 		if !ok {
@@ -715,343 +576,4 @@ func exprRefs(expr algebra.Node) []algebra.ExtentRef {
 		}
 	})
 	return refs
-}
-
-// evalDeadlineKey marks contexts whose deadline is the mediator's own
-// evaluation timer — the §4 "designated time" — as opposed to a deadline
-// the caller brought.
-type evalDeadlineKey struct{}
-
-// withEvalDeadline bounds ctx by the mediator's evaluation deadline and
-// tags it as such, so the error classifier can tell the §4 designated
-// time (source unavailability) from a caller-imposed bound (a failed
-// query from the caller's own impatience or cancellation).
-func withEvalDeadline(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.WithValue(ctx, evalDeadlineKey{}, true), d)
-}
-
-func hasEvalDeadline(ctx context.Context) bool {
-	v, _ := ctx.Value(evalDeadlineKey{}).(bool)
-	return v
-}
-
-// TransientError classifies a source failure as transient: the source was
-// reached (or is expected right back) and the exchange broke in a way a
-// prompt retry has a real chance of fixing — a connection dropped
-// mid-answer, a refused dial while the attempt still has deadline to
-// spare, an overloaded server shedding load. It never escapes the submit
-// path: submitOnce either retries it away under the retry budget or
-// degrades it to an UnavailableError so failover and partial evaluation
-// take over.
-type TransientError struct {
-	Repo string
-	Err  error
-}
-
-// Error implements the error interface.
-func (e *TransientError) Error() string {
-	return fmt.Sprintf("transient failure at %s: %v", e.Repo, e.Err)
-}
-
-// Unwrap supports errors.Is/As.
-func (e *TransientError) Unwrap() error { return e.Err }
-
-// refusedRetryFloor is the deadline headroom below which a refused dial is
-// not worth retrying: the backoff plus redial would eat what little
-// deadline remains, so classify it as plain unavailability instead.
-const refusedRetryFloor = 25 * time.Millisecond
-
-// classifySourceError separates three kinds of failure — plus the calls
-// the caller itself ended. Unavailability (no answer: timeouts, dead
-// dials) is what partial evaluation and replica failover react to.
-// Transient failures (mid-answer connection drops, refused dials with
-// deadline to spare, server-side load sheds) are retried once under the
-// retry budget before degrading to unavailability. Genuine query failures
-// reported by a live source stay errors — degrading them would hide real
-// failures in partial answers. And a user cancelling a query (or a
-// caller-imposed deadline firing) is none of these: it must not become a
-// partial answer and it must not count against the source's circuit
-// breaker.
-func classifySourceError(ctx context.Context, repo string, err error) error {
-	var already *physical.UnavailableError
-	if errors.As(err, &already) {
-		return err
-	}
-	var upstream *wire.PartialUpstreamError
-	if errors.As(err, &upstream) {
-		// A mediator source answered partially: from here that is an
-		// unavailability, and this mediator's partial evaluation produces
-		// its own resubmittable answer.
-		return &physical.UnavailableError{Repo: repo, Err: err}
-	}
-	var overloaded *wire.OverloadedError
-	if errors.As(err, &overloaded) {
-		// The server shed the request to protect itself: it is alive, and
-		// a moment later it may well admit a retry.
-		return &TransientError{Repo: repo, Err: err}
-	}
-	var remote *wire.RemoteError
-	if errors.As(err, &remote) {
-		return err // the source answered: a real error
-	}
-	if errors.Is(err, context.Canceled) && ctx.Err() != nil {
-		// The call died because the caller's context ended (the user
-		// cancelled, or the query already concluded): caller-side, not a
-		// verdict on the source.
-		return fmt.Errorf("mediator: source call to %s cancelled: %w", repo, err)
-	}
-	if errors.Is(err, context.DeadlineExceeded) &&
-		errors.Is(ctx.Err(), context.DeadlineExceeded) && !hasEvalDeadline(ctx) {
-		// The deadline that fired came with the caller's context, not from
-		// the mediator's evaluation timer: caller-side as well.
-		return fmt.Errorf("mediator: source call to %s ended by caller deadline: %w", repo, err)
-	}
-	switch {
-	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		return &physical.UnavailableError{Repo: repo, Err: err}
-	case isTimeoutNetErr(err):
-		return &physical.UnavailableError{Repo: repo, Err: err}
-	case isRefusedErr(err):
-		// A refused dial means nothing is listening *right now* — which a
-		// restarting server fixes in milliseconds. With deadline to spare
-		// the retry budget gets a shot at it; otherwise it is ordinary
-		// unavailability.
-		if deadlineHeadroom(ctx) >= refusedRetryFloor {
-			return &TransientError{Repo: repo, Err: err}
-		}
-		return &physical.UnavailableError{Repo: repo, Err: err}
-	case isMidAnswerDropErr(err):
-		// The connection was established and then broke under the
-		// exchange: the source (or the path to it) flaked, not the query.
-		return &TransientError{Repo: repo, Err: err}
-	case isUnavailableNetErr(err):
-		return &physical.UnavailableError{Repo: repo, Err: err}
-	default:
-		return err
-	}
-}
-
-// deadlineHeadroom is the time left before ctx's deadline (effectively
-// infinite when it has none).
-func deadlineHeadroom(ctx context.Context) time.Duration {
-	d, ok := ctx.Deadline()
-	if !ok {
-		return time.Duration(1<<63 - 1)
-	}
-	return time.Until(d)
-}
-
-// isTimeoutNetErr recognizes network-level timeouts (no answer within the
-// attempt deadline) — always unavailability, never transient: the retry
-// would wait out the same silence.
-func isTimeoutNetErr(err error) bool {
-	var netErr net.Error
-	return errors.As(err, &netErr) && netErr.Timeout()
-}
-
-// isRefusedErr recognizes refused dials (ECONNREFUSED in any wrapping).
-func isRefusedErr(err error) bool {
-	return errors.Is(err, syscall.ECONNREFUSED)
-}
-
-// isMidAnswerDropErr recognizes connections that were established and then
-// broke during the exchange: resets, broken pipes, unexpected EOFs, and
-// read/write failures on a live connection. These are the classic
-// transient faults — a flaky link, a crashing-and-restarting peer, a
-// proxy cutting a long response — where one prompt retry usually
-// succeeds. (Timeouts are excluded by classification order.)
-func isMidAnswerDropErr(err error) bool {
-	if errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) {
-		return true
-	}
-	//lint:allow eofidentity classification site: asks whether a transport error is EOF-shaped (wrapped EOFs included), not whether a stream ended
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return true
-	}
-	var opErr *net.OpError
-	if errors.As(err, &opErr) && (opErr.Op == "read" || opErr.Op == "write") {
-		return true
-	}
-	return false
-}
-
-// isUnavailableNetErr recognizes network errors that mean "no answer" —
-// timeouts, refused connections and dial-phase failures. Errors from a
-// source that was reached and answered (e.g. a reset mid-answer) are NOT
-// unavailability: partial evaluation must not silently degrade genuine
-// source-side failures into partial answers.
-func isUnavailableNetErr(err error) bool {
-	var netErr net.Error
-	if errors.As(err, &netErr) && netErr.Timeout() {
-		return true
-	}
-	if errors.Is(err, syscall.ECONNREFUSED) {
-		return true
-	}
-	var opErr *net.OpError
-	if errors.As(err, &opErr) && opErr.Op == "dial" {
-		// The connection was never established: the source is unreachable.
-		return true
-	}
-	return false
-}
-
-// wrapperForExpr locates the wrapper instance serving a submit expression:
-// every extent read by the expression must be declared with the same
-// wrapper object.
-func (m *Mediator) wrapperForExpr(repo string, expr algebra.Node) (wrapper.Wrapper, error) {
-	refs := exprRefs(expr)
-	if len(refs) == 0 {
-		return nil, fmt.Errorf("mediator: submit to %s reads no extents", repo)
-	}
-	wrapperName := ""
-	for _, ref := range refs {
-		me, err := m.catalog.Extent(ref.Extent)
-		if err != nil {
-			return nil, err
-		}
-		if !me.HasPartition(repo) && !m.catalog.IsMigrationEndpoint(ref.Extent, repo) {
-			// A live migration's endpoints accept reads while its record
-			// exists: the destination before placement lists it (copying,
-			// dual-read) and the released source after cutover, until the
-			// pre-cutover readers drain and the record clears. Anything
-			// else is a routing bug.
-			return nil, fmt.Errorf("mediator: extent %s lives at %s, not %s", ref.Extent, strings.Join(me.Partitions(), ","), repo)
-		}
-		if wrapperName == "" {
-			wrapperName = me.Wrapper
-		} else if me.Wrapper != wrapperName {
-			return nil, fmt.Errorf("mediator: extents of one submit use different wrappers (%s, %s)", wrapperName, me.Wrapper)
-		}
-	}
-	return m.wrapperInstance(wrapperName, repo)
-}
-
-// wrapperInstance returns (instantiating on first use) the wrapper object
-// bound to a repository.
-func (m *Mediator) wrapperInstance(wrapperName, repoName string) (wrapper.Wrapper, error) {
-	key := wrapperName + "@" + repoName
-	m.mu.Lock()
-	if w, ok := m.wrappers[key]; ok {
-		m.mu.Unlock()
-		return w, nil
-	}
-	m.mu.Unlock()
-
-	wdecl, err := m.catalog.Wrapper(wrapperName)
-	if err != nil {
-		return nil, err
-	}
-	repo, err := m.catalog.Repository(repoName)
-	if err != nil {
-		return nil, err
-	}
-	w, err := m.instantiate(wdecl, repo)
-	if err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	m.wrappers[key] = w
-	m.mu.Unlock()
-	return w, nil
-}
-
-// instantiate builds a wrapper implementation for a wrapper declaration and
-// repository address.
-func (m *Mediator) instantiate(w *catalog.Wrapper, repo *catalog.Repository) (wrapper.Wrapper, error) {
-	switch w.Kind {
-	case "sql":
-		q, err := m.querierFor(repo, wire.LangSQL)
-		if err != nil {
-			return nil, err
-		}
-		// An ops property restricts the advertised operator set, e.g.
-		// Wrapper("sql", ops="get,select") models a server that filters
-		// but cannot project or join.
-		if spec := w.Props["ops"]; spec != "" {
-			ops, err := parseOpsSpec(spec)
-			if err != nil {
-				return nil, fmt.Errorf("mediator: wrapper %s: %w", w.Name, err)
-			}
-			return wrapper.NewSQLWithOps(q, ops), nil
-		}
-		return wrapper.NewSQL(q), nil
-	case "scan":
-		q, err := m.querierFor(repo, wire.LangSQL)
-		if err != nil {
-			return nil, err
-		}
-		return wrapper.NewScan(wrapper.NewSQL(q)), nil
-	case "doc":
-		q, err := m.querierFor(repo, wire.LangDoc)
-		if err != nil {
-			return nil, err
-		}
-		return wrapper.NewDoc(q), nil
-	case "csv":
-		path := w.Props["path"]
-		collection := w.Props["collection"]
-		if path == "" || collection == "" {
-			return nil, fmt.Errorf("mediator: csv wrapper %s needs path and collection properties", w.Name)
-		}
-		return wrapper.NewCSV(collection, path)
-	case "mediator":
-		addr := repo.Address
-		if strings.HasPrefix(addr, "mem:") {
-			return nil, fmt.Errorf("mediator: mediator wrapper %s needs a network address", w.Name)
-		}
-		return &mediatorWrapper{client: m.clientFor(addr)}, nil
-	default:
-		return nil, fmt.Errorf("mediator: unknown wrapper kind %q", w.Kind)
-	}
-}
-
-// parseOpsSpec parses an ops="get,select,..." wrapper property into an
-// operator set. Composition, connectives and all comparisons are enabled
-// whenever any operator beyond get is present.
-func parseOpsSpec(spec string) (capability.OpSet, error) {
-	ops := capability.OpSet{}
-	for _, tok := range strings.Split(spec, ",") {
-		switch strings.TrimSpace(strings.ToLower(tok)) {
-		case "get":
-			ops.Get = true
-		case "select":
-			ops.Select = true
-		case "project":
-			ops.Project = true
-		case "join":
-			ops.Join = true
-		case "distinct":
-			ops.Distinct = true
-		case "":
-		default:
-			return ops, fmt.Errorf("unknown operator %q in ops spec", tok)
-		}
-	}
-	if ops.Select || ops.Project || ops.Join || ops.Distinct {
-		ops.Compose = true
-		ops.Connectives = true
-	}
-	return ops, nil
-}
-
-// querierFor resolves a repository address to a querier: mem: addresses
-// bind to registered in-process engines, everything else dials TCP.
-func (m *Mediator) querierFor(repo *catalog.Repository, lang string) (wrapper.Querier, error) {
-	addr := repo.Address
-	if name, ok := strings.CutPrefix(addr, "mem:"); ok {
-		m.mu.Lock()
-		eng, found := m.engines[name]
-		m.mu.Unlock()
-		if !found {
-			return nil, fmt.Errorf("mediator: no in-process engine %q (repository %s)", name, repo.Name)
-		}
-		return wrapper.EngineQuerier{Engine: eng}, nil
-	}
-	if addr == "" {
-		return nil, fmt.Errorf("mediator: repository %s has no address", repo.Name)
-	}
-	// One pooled client per address, shared across wrapper instances and
-	// queries: submits reuse persistent connections instead of dialing.
-	return wrapper.RemoteQuerier{Client: m.clientFor(addr), Lang: lang}, nil
 }

@@ -1,7 +1,8 @@
 // Package harness assembles reproducible experiment federations and runs
-// the experiment suite indexed in DESIGN.md (F1, F2, E1–E6). The same
-// functions back cmd/disco-bench (which prints the tables recorded in
-// EXPERIMENTS.md) and the repository's Go benchmarks.
+// the experiment suite (F1, F2, E1–E9). The same functions back
+// cmd/disco-bench, which prints the tables, and the repository's Go
+// benchmarks; disco.go's package doc describes the mechanisms they
+// exercise.
 package harness
 
 import (

@@ -84,7 +84,7 @@ func (s *server) trackedResult() chan int {
 }
 
 // trackedResultOuter: the result channel is made two function layers up
-// (the raceArms shape: a launch closure inside the racing function).
+// (the shape of core's race: a launch closure inside the racing function).
 func (s *server) trackedResultOuter() chan int {
 	res := make(chan int, 8)
 	launch := func() {

@@ -1,16 +1,15 @@
 // Package optimizer implements DISCO's mediator query optimizer (paper §3):
 // it normalizes logical plans, enumerates capability-checked pushdown
 // alternatives, estimates each alternative's cost with the learned cost
-// model, and picks the cheapest. Optimized plans are cached per catalog
-// version, implementing §3.3's requirement that cached plans be invalidated
-// when extents change.
+// model, and picks the cheapest. It keeps no plans: the mediator's prepared
+// cache holds each chosen plan with its report and flushes them when the
+// catalog or a breaker moves (§3.3's invalidation rule).
 package optimizer
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"disco/internal/algebra"
 	"disco/internal/capability"
@@ -39,7 +38,6 @@ type Candidate struct {
 type Report struct {
 	Candidates []Candidate
 	Chosen     int
-	CacheHit   bool
 	// Pruned lists the shards (extent@repo) partition pruning removed from
 	// the plan: repositories whose declared hash slot or key range cannot
 	// contain rows the query's predicates ask for. A partial answer's
@@ -63,26 +61,15 @@ type Optimizer struct {
 	// would likely burn before partial evaluation steps in.
 	avail          func(repo string) bool
 	unavailPenalty float64
-
-	mu      sync.Mutex
-	cache   map[string]cached
-	version int64
-	hits    int64
-	misses  int64
 }
 
 // SetAvailability installs the availability oracle the cost model consults
 // and the source-time penalty (in milliseconds) charged per submit to a
 // source reported down. Call it before the optimizer is shared across
-// goroutines; pair it with InvalidateCache when the oracle's answers move.
+// goroutines; plans chosen under older answers are the caller's to drop.
 func (o *Optimizer) SetAvailability(avail func(repo string) bool, penaltyMillis float64) {
 	o.avail = avail
 	o.unavailPenalty = penaltyMillis
-}
-
-type cached struct {
-	plan   algebra.Node
-	report *Report
 }
 
 // New returns an optimizer resolving wrapper grammars per repository.
@@ -93,11 +80,7 @@ func New(caps CapabilitySource, history *costmodel.History) *Optimizer {
 // NewWithCapabilities returns an optimizer using a general capability
 // oracle (the mediator supplies one that resolves wrappers per extent).
 func NewWithCapabilities(caps algebra.Capabilities, history *costmodel.History) *Optimizer {
-	return &Optimizer{
-		caps:    caps,
-		history: history,
-		cache:   make(map[string]cached),
-	}
+	return &Optimizer{caps: caps, history: history}
 }
 
 // capsAdapter implements algebra.Capabilities on top of a CapabilitySource.
@@ -127,27 +110,8 @@ var pushCombos = []algebra.PushOptions{
 }
 
 // Optimize returns the cheapest plan for the (already compiled) logical
-// plan. version is the catalog version the plan was compiled against;
-// cached results from other versions are discarded.
-func (o *Optimizer) Optimize(plan algebra.Node, version int64) (algebra.Node, *Report) {
-	key := plan.String()
-	o.mu.Lock()
-	if o.version != version {
-		// The catalog changed: every cached plan may reference stale
-		// extents (§3.3).
-		o.cache = make(map[string]cached)
-		o.version = version
-	}
-	if c, ok := o.cache[key]; ok {
-		o.hits++
-		o.mu.Unlock()
-		r := *c.report
-		r.CacheHit = true
-		return c.plan, &r
-	}
-	o.misses++
-	o.mu.Unlock()
-
+// plan, with the report of every candidate it weighed.
+func (o *Optimizer) Optimize(plan algebra.Node) (algebra.Node, *Report) {
 	norm := algebra.Normalize(plan)
 
 	// Placement-aware passes: partition pruning removes shards the
@@ -203,13 +167,8 @@ func (o *Optimizer) Optimize(plan algebra.Node, version int64) (algebra.Node, *R
 		return si < sj
 	})
 	report.Chosen = 0
-	chosen := report.Candidates[0].Plan
 	report.Pruned = report.Candidates[0].pruned
-
-	o.mu.Lock()
-	o.cache[key] = cached{plan: chosen, report: report}
-	o.mu.Unlock()
-	return chosen, report
+	return report.Candidates[0].Plan, report
 }
 
 // pruneFixpoint alternates partition pruning and normalization until the
@@ -246,21 +205,6 @@ func mergeSorted(a, b []string) []string {
 		}
 	}
 	return out
-}
-
-// CacheStats reports plan-cache hits and misses.
-func (o *Optimizer) CacheStats() (hits, misses int64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.hits, o.misses
-}
-
-// InvalidateCache drops every cached plan (used when cost history shifts
-// enough that cached choices are suspect).
-func (o *Optimizer) InvalidateCache() {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.cache = make(map[string]cached)
 }
 
 // String renders a report for EXPLAIN output.

@@ -240,34 +240,21 @@ func newRogueServer(t *testing.T, respond func(req Request) Response) string {
 }
 
 // TestMismatchedResponseIDRejected: a frame whose ID matches no outstanding
-// request must never be accepted as an answer — in dial-per-request mode it
-// is an explicit error; in pooled mode the stale frame is dropped and the
-// caller times out instead of receiving someone else's answer.
+// request must never be accepted as an answer — the stale frame is dropped
+// and the caller times out instead of receiving someone else's answer.
 func TestMismatchedResponseIDRejected(t *testing.T) {
 	addr := newRogueServer(t, func(req Request) Response {
 		return Response{ID: req.ID + 1000} // always the wrong ID
 	})
 
-	t.Run("dial-per-request", func(t *testing.T) {
-		c := NewClient(addr, WithDialPerRequest())
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_, err := c.Do(ctx, Request{Op: "ping"})
-		if err == nil || !strings.Contains(err.Error(), "does not match request id") {
-			t.Fatalf("err = %v, want id mismatch rejection", err)
-		}
-	})
-
-	t.Run("pooled", func(t *testing.T) {
-		c := NewClient(addr)
-		defer c.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
-		defer cancel()
-		_, err := c.Do(ctx, Request{Op: "ping"})
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("err = %v, want deadline exceeded (stale frame dropped)", err)
-		}
-	})
+	c := NewClient(addr)
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	_, err := c.Do(ctx, Request{Op: "ping"})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want deadline exceeded (stale frame dropped)", err)
+	}
 }
 
 // TestPoolBounded: hammering the client never grows the pool past its
