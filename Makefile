@@ -47,9 +47,9 @@ lint: vet disco-lint
 	fi
 
 # The project-specific analyzers (internal/lint): eofidentity, ctxflow,
-# gotrack, locksend, traceexplain. Mechanizes the bug classes the chaos
-# harness keeps rediscovering; see the "Correctness invariants" section
-# in disco.go.
+# gotrack, locksend, traceexplain, specfence. Mechanizes the bug classes
+# the chaos harness keeps rediscovering; see the "Correctness invariants"
+# section in disco.go.
 disco-lint:
 	$(GO) run ./cmd/disco-lint ./...
 

@@ -154,7 +154,7 @@ func BenchmarkPartialEvaluation(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := partial.Residual(plan, outcomes); err != nil {
+		if _, err := partial.Residual(context.Background(), plan, outcomes); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -285,6 +285,12 @@
 //   - traceexplain: every exported core.Trace field must be rendered by
 //     the explain output, so observability cannot silently rot as fields
 //     are added.
+//   - specfence: algebra.Interp and oql.Eval are executable specifications
+//     that only tests call. Every plan — at the mediator, at a source,
+//     inside the CSV wrapper, while folding a residual — runs on
+//     internal/physical, and every expression as a compiled program, so
+//     "a wrapper's operators mean what the mediator's mean" (§3.2) holds
+//     because there is one executor, not because two were kept in step.
 //
 // A finding is suppressed only by an inline annotation that names the
 // analyzer and justifies the exception:

@@ -1,15 +1,14 @@
 package algebra
 
 import (
-	"context"
 	"fmt"
 
 	"disco/internal/oql"
 	"disco/internal/types"
 )
 
-// Collections supplies named collections to the interpreter: relations at a
-// data source, or materialized extents at the mediator.
+// Collections supplies named collections to a plan's get leaves: relations
+// at a data source, a wrapper's file, or a test's in-memory fixtures.
 type Collections interface {
 	Collection(name string) (*types.Bag, error)
 }
@@ -26,17 +25,16 @@ func (m CollectionsMap) Collection(name string) (*types.Bag, error) {
 	return b, nil
 }
 
-// Interp evaluates logical plans directly. Data sources use it to execute
-// submitted expressions with exactly the mediator's operator semantics
-// (the paper stresses the two must match exactly, §3.2); the tests use it
-// as the executable specification the optimized runtime must agree with.
+// Interp evaluates logical plans directly, one whole bag per operator. It is
+// the executable specification; called only from tests (the specfence
+// analyzer enforces it): internal/physical executes every plan in
+// production, on both sides of the wire, and the differential tests check
+// that it agrees with this interpreter on value and error outcome.
 //
 // Per-tuple expressions (select predicates, projections, join conditions,
-// dependent domains) run as closure-compiled programs (oql.Compile): the
-// expression lowers once per operator and each tuple binds into a flat
-// slot environment, instead of re-walking the AST over an allocated Env
-// chain per element — the same engine the mediator's physical layer uses,
-// so the semantics stay aligned by construction (the compiled evaluator is
+// dependent domains) run as closure-compiled programs (oql.Compile), the
+// same expression engine the physical layer uses, so the two executors
+// differ in operator implementation only (the compiled evaluator is itself
 // differentially tested against oql.Eval).
 type Interp struct {
 	// Cols resolves Get leaves. Get nodes look up Ref.Extent, so plans
@@ -48,23 +46,6 @@ type Interp struct {
 	Resolver oql.Resolver
 	// Submitter executes submit nodes. Nil means submits are an error.
 	Submitter func(repo string, expr Node) (types.Value, error)
-	// Ctx, when non-nil, bounds the evaluation: the interpreter checks it
-	// at every operator boundary and periodically inside join loops, so a
-	// cancelled or expired request stops burning CPU promptly. Data-source
-	// servers set it to the wire server's per-request context; a nil Ctx
-	// evaluates unbounded (the reference-interpreter default).
-	Ctx context.Context
-}
-
-// ctxErr reports the context's error, if a context is installed and done.
-func (in *Interp) ctxErr() error {
-	if in.Ctx == nil {
-		return nil
-	}
-	if err := in.Ctx.Err(); err != nil {
-		return fmt.Errorf("interp: evaluation stopped: %w", err)
-	}
-	return nil
 }
 
 func (in *Interp) resolver() oql.Resolver {
@@ -92,12 +73,6 @@ func (in *Interp) Run(n Node) (types.Value, error) {
 }
 
 func (in *Interp) runBag(n Node) (*types.Bag, error) {
-	// One check per operator: evaluation is a post-order walk, so a
-	// cancelled context stops the plan between operators — the interpreter
-	// equivalent of the physical layer's batch-boundary checks.
-	if err := in.ctxErr(); err != nil {
-		return nil, err
-	}
 	switch x := n.(type) {
 	case *Get:
 		if in.Cols == nil {
@@ -290,15 +265,6 @@ func (in *Interp) runJoin(x *Join) (*types.Bag, error) {
 	}
 	var out []types.Value
 	for i := 0; i < left.Len(); i++ {
-		// The nested loop is the interpreter's only superlinear operator, so
-		// it re-checks the context as it goes — every 64 outer rows, which
-		// bounds the overrun after a cancel without paying the check on
-		// every tuple.
-		if i%64 == 0 {
-			if err := in.ctxErr(); err != nil {
-				return nil, err
-			}
-		}
 		l := left.At(i)
 		ls, ok := l.(*types.Struct)
 		if !ok {
@@ -332,7 +298,7 @@ func (in *Interp) runJoin(x *Join) (*types.Bag, error) {
 
 // ProjCtor lowers a projection's column list into the single OQL struct
 // constructor its tuples evaluate. It is the one definition of that
-// lowering: both the reference interpreter and the physical layer's MkProj
+// lowering: both this specification and the physical layer's MkProj
 // compile exactly this expression, so the two engines cannot diverge on
 // projection semantics.
 func ProjCtor(cols []Col) *oql.StructCtor {

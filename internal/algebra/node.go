@@ -420,8 +420,8 @@ func (a *Agg) WithChildren(children []Node) Node {
 	return &Agg{Fn: a.Fn, Input: children[0]}
 }
 
-// Eval is the generic fallback: evaluate an arbitrary OQL expression with
-// the reference evaluator against the mediator's name resolver. Plans never
+// Eval is the generic fallback: evaluate an arbitrary OQL expression as one
+// compiled program against the mediator's name resolver. Plans never
 // push through it; it exists so every OQL query is executable even when it
 // falls outside the planned fragment.
 type Eval struct {

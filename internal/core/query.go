@@ -10,6 +10,7 @@ import (
 	"disco/internal/algebra"
 	"disco/internal/oql"
 	"disco/internal/partial"
+	"disco/internal/physical"
 	"disco/internal/types"
 )
 
@@ -179,42 +180,54 @@ func (m *Mediator) QueryTraced(src string) (types.Value, *Trace, error) {
 	return m.queryTraced(context.Background(), src)
 }
 
-func (m *Mediator) queryTraced(ctx context.Context, src string) (types.Value, *Trace, error) {
+// execute is the front half both query entry points share: it enters the
+// reader epoch, prepares the text, puts the §4 evaluation deadline on the
+// context, passes the admission gate, builds the physical plan and hands it
+// to run, releasing all of it when run returns. The trace comes back on
+// every path.
+func (m *Mediator) execute(ctx context.Context, src string, run func(ectx context.Context, plan algebra.Node, p *physical.Plan, tr *Trace) error) (*Trace, error) {
 	defer m.enterReadEpoch()()
 	entry, tr, err := m.prepare(src)
 	if err != nil {
-		return nil, tr, err
+		return tr, err
 	}
-	ctx, cancel := withEvalDeadline(ctx, m.timeout)
+	ectx, cancel := withEvalDeadline(ctx, m.timeout)
 	defer cancel()
-	if err := m.admitQuery(ctx, tr); err != nil {
-		return nil, tr, err
+	if err := m.admitQuery(ectx, tr); err != nil {
+		return tr, err
 	}
 	defer m.admitDone(tr)
 	p, err := m.buildPhysical(entry.plan, entry.progs)
 	if err != nil {
-		return nil, tr, err
+		return tr, err
 	}
-	f0, w0 := m.hedgesFired.Load(), m.hedgesWon.Load()
-	r0, x0 := m.retries.Load(), m.retryExhausted.Load()
-	c0 := m.wireCancelsSent()
-	s0 := m.ShardTraffic()
-	t0 := time.Now()
-	v, err := p.Run(ctx)
-	tr.Execute = time.Since(t0)
-	tr.HedgesFired = m.hedgesFired.Load() - f0
-	tr.HedgesWon = m.hedgesWon.Load() - w0
-	tr.Retried = m.retries.Load() - r0
-	tr.RetryBudgetExhausted = m.retryExhausted.Load() - x0
-	tr.ShardReads = map[string]int64{}
-	for shard, n := range m.ShardTraffic() {
-		if d := n - s0[shard]; d > 0 {
-			tr.ShardReads[shard] = d
+	return tr, run(ectx, entry.plan, p, tr)
+}
+
+func (m *Mediator) queryTraced(ctx context.Context, src string) (v types.Value, tr *Trace, err error) {
+	tr, err = m.execute(ctx, src, func(ectx context.Context, _ algebra.Node, p *physical.Plan, tr *Trace) (err error) {
+		f0, w0 := m.hedgesFired.Load(), m.hedgesWon.Load()
+		r0, x0 := m.retries.Load(), m.retryExhausted.Load()
+		c0 := m.wireCancelsSent()
+		s0 := m.ShardTraffic()
+		t0 := time.Now()
+		v, err = p.Run(ectx)
+		tr.Execute = time.Since(t0)
+		tr.HedgesFired = m.hedgesFired.Load() - f0
+		tr.HedgesWon = m.hedgesWon.Load() - w0
+		tr.Retried = m.retries.Load() - r0
+		tr.RetryBudgetExhausted = m.retryExhausted.Load() - x0
+		tr.ShardReads = map[string]int64{}
+		for shard, n := range m.ShardTraffic() {
+			if d := n - s0[shard]; d > 0 {
+				tr.ShardReads[shard] = d
+			}
 		}
-	}
-	if tr.CancelsSent = m.wireCancelsSent() - c0; tr.CancelsSent < 0 {
-		tr.CancelsSent = 0 // client pool replaced mid-window (Close)
-	}
+		if tr.CancelsSent = m.wireCancelsSent() - c0; tr.CancelsSent < 0 {
+			tr.CancelsSent = 0 // client pool replaced mid-window (Close)
+		}
+		return err
+	})
 	if err != nil {
 		return nil, tr, err
 	}
@@ -233,32 +246,18 @@ func (m *Mediator) QueryPartial(src string) (*partial.Answer, error) {
 // Admission applies before any source is dialed: a shed query returns an
 // *OverloadError, not a partial answer — shed and "source down" are
 // different verdicts and callers can tell them apart.
-func (m *Mediator) QueryPartialContext(ctx context.Context, src string) (*partial.Answer, error) {
-	defer m.enterReadEpoch()()
-	entry, tr, err := m.prepare(src)
-	if err != nil {
-		return nil, err
-	}
-	plan := entry.plan
-	// The evaluation context gets the §4 deadline; the caller's ctx stays
-	// unwrapped for the post-evaluation version snapshot, which runs after
-	// the evaluation budget is (by definition of a partial answer) spent.
-	ectx, cancel := withEvalDeadline(ctx, m.timeout)
-	defer cancel()
-	if err := m.admitQuery(ectx, tr); err != nil {
-		return nil, err
-	}
-	defer m.admitDone(tr)
-	p, err := m.buildPhysical(plan, entry.progs)
-	if err != nil {
-		return nil, err
-	}
-	ans, err := partial.Evaluate(ectx, p)
-	if err != nil {
-		return nil, err
-	}
-	m.snapshotPartial(ctx, plan, ans)
-	return ans, nil
+func (m *Mediator) QueryPartialContext(ctx context.Context, src string) (ans *partial.Answer, err error) {
+	_, err = m.execute(ctx, src, func(ectx context.Context, plan algebra.Node, p *physical.Plan, _ *Trace) (err error) {
+		// Only the source calls run under the §4 deadline. Folding the
+		// residual and the version snapshot come after the evaluation budget
+		// is (by definition of a partial answer) spent, so they keep the
+		// caller's ctx.
+		if ans, err = partial.Evaluate(ctx, ectx, p); err == nil {
+			m.snapshotPartial(ctx, plan, ans)
+		}
+		return err
+	})
+	return ans, err
 }
 
 // admitQuery passes the query through the admission gate (a no-op without

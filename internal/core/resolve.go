@@ -187,8 +187,8 @@ func rangeGuard(me *catalog.MetaExtent, repo string) oql.Expr {
 	return pred
 }
 
-// valueResolver implements oql.Resolver for the reference evaluation of
-// correlated subqueries: names materialize by planning and running them.
+// valueResolver implements oql.Resolver for the correlated subqueries of
+// compiled expressions: names materialize by planning and running them.
 type valueResolver struct {
 	m *Mediator
 }
@@ -201,13 +201,17 @@ func (r valueResolver) Resolve(name string, star bool) (types.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		return oql.Eval(expanded, nil, r)
+		prog, err := oql.Compile(expanded)
+		if err != nil {
+			return nil, err
+		}
+		return prog.Eval(prog.NewEnv(r))
 	}
 	plan, err := planResolver{m: r.m}.ResolvePlan(name, star)
 	if err != nil {
 		return nil, err
 	}
-	//lint:allow ctxflow the oql.Resolver interface carries no context; this reference-evaluation path is bounded by the mediator's own §4 evaluation deadline
+	//lint:allow ctxflow the oql.Resolver interface carries no context; this subquery path is bounded by the mediator's own §4 evaluation deadline
 	ctx, cancel := withEvalDeadline(context.Background(), r.m.timeout)
 	defer cancel()
 	// Ad-hoc resolver plans are built per evaluation (their expression

@@ -95,8 +95,8 @@ var _ wire.Handler = EngineHandler{}
 
 // HandleQuery implements wire.Handler. Engines that honor a context
 // (source.ContextEngine) get the wire server's request context, so a
-// cancelled or expired request stops the engine's interpreter loop instead
-// of evaluating an answer nobody will read.
+// cancelled or expired request stops the engine's scans at the next batch
+// boundary instead of evaluating an answer nobody will read.
 func (h EngineHandler) HandleQuery(ctx context.Context, lang, text string) (json.RawMessage, error) {
 	if len(h.Langs) > 0 {
 		ok := false

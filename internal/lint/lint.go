@@ -2,7 +2,8 @@
 // invariant suite that mechanizes the bug classes the seeded chaos soaks
 // kept rediscovering (silent stream truncation, detached contexts,
 // untracked goroutines, blocking channel work under a mutex, and
-// Trace/renderer drift). Each analyzer is documented with the historical
+// Trace/renderer drift) and fences off the design mistakes later PRs
+// removed (a second, test-only executor serving traffic). Each analyzer is documented with the historical
 // bug that motivated it; the suite runs over ./... via cmd/disco-lint and
 // gates `make lint` / `make check` and CI.
 //
@@ -105,6 +106,7 @@ func Analyzers() []*Analyzer {
 		GoTrack,
 		LockSend,
 		TraceExplain,
+		SpecFence,
 	}
 }
 

@@ -39,6 +39,12 @@ func TestTraceExplain(t *testing.T) {
 	analysistest.Run(t, fixture("traceexplain"), "disco/internal/core", lint.TraceExplain)
 }
 
+func TestSpecFence(t *testing.T) {
+	analysistest.Run(t, fixture("specfence"), "disco/internal/source", lint.SpecFence)
+	// The defining package: interp.go exempt, its other files fenced.
+	analysistest.Run(t, fixture("specfence_spec"), "disco/internal/algebra", lint.SpecFence)
+}
+
 // TestScoping pins the package filters: an analyzer scoped away from a
 // package must not fire there, and eofidentity applies everywhere.
 func TestScoping(t *testing.T) {
@@ -57,6 +63,7 @@ func TestScoping(t *testing.T) {
 		{lint.LockSend, "disco/internal/types", false},
 		{lint.TraceExplain, "disco/internal/core", true},
 		{lint.TraceExplain, "disco/internal/wire", false},
+		{lint.SpecFence, "disco/cmd/disco", true},
 	}
 	for _, c := range cases {
 		got := c.a.Match == nil || c.a.Match(c.path)
@@ -67,9 +74,9 @@ func TestScoping(t *testing.T) {
 }
 
 // TestByName pins the registry: every analyzer resolves by name, and the
-// suite has the five invariants the PR series minted.
+// suite has the six invariants the PR series minted.
 func TestByName(t *testing.T) {
-	want := []string{"eofidentity", "ctxflow", "gotrack", "locksend", "traceexplain"}
+	want := []string{"eofidentity", "ctxflow", "gotrack", "locksend", "traceexplain", "specfence"}
 	all := lint.Analyzers()
 	if len(all) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(all), len(want))

@@ -64,9 +64,11 @@ func (e *EvalError) Error() string {
 // Unwrap supports errors.Is/As.
 func (e *EvalError) Unwrap() error { return e.Err }
 
-// Eval evaluates an OQL expression against an environment and a resolver.
-// It is the semantic reference for the whole system: the optimized runtime
-// must agree with it (a property the tests check).
+// Eval evaluates an OQL expression against an environment and a resolver by
+// walking the tree. It is the executable specification; called only from
+// tests (and from algebra.Interp, the plan-level specification — the
+// specfence analyzer enforces both): production evaluates compiled programs
+// (Compile), which the differential and fuzz tests check against it.
 func Eval(e Expr, env *Env, r Resolver) (types.Value, error) {
 	v, err := eval(e, env, r)
 	if err != nil {

@@ -5,9 +5,9 @@
 //
 // The package contains a lexer, a recursive-descent parser, a canonical
 // printer (every AST prints back to parseable OQL — the closure property
-// partial answers depend on, paper §4), and a reference evaluator used by
-// the runtime for scalar expressions and by tests as an executable
-// specification.
+// partial answers depend on, paper §4), the closure compiler the runtime
+// evaluates scalar expressions with (Compile), and the tree-walking
+// evaluator the tests use as its executable specification (Eval).
 package oql
 
 import (

@@ -55,8 +55,13 @@ func (a *Answer) String() string {
 // answer when all sources respond, an answer-as-query when some block, and
 // a plain error for genuine failures (a source answering with an error is
 // a failed query, not an unavailable source).
-func Evaluate(ctx context.Context, p *physical.Plan) (*Answer, error) {
-	v, err := p.Run(ctx)
+//
+// ectx carries the §4 evaluation deadline and bounds the source calls; ctx
+// is the caller's own context (ectx's parent). The residual folds under
+// ctx: by the time there is a residual to build, the evaluation deadline
+// has by definition passed, but a caller that walked away still stops it.
+func Evaluate(ctx, ectx context.Context, p *physical.Plan) (*Answer, error) {
+	v, err := p.Run(ectx)
 	if err == nil {
 		return &Answer{Complete: true, Value: v}, nil
 	}
@@ -77,7 +82,7 @@ func Evaluate(ctx context.Context, p *physical.Plan) (*Answer, error) {
 		}
 		downSet[sub.Repo] = true
 	}
-	residual, err := Residual(p.Logical, outcomes)
+	residual, err := Residual(ctx, p.Logical, outcomes)
 	if err != nil {
 		return nil, fmt.Errorf("partial: build residual: %w", err)
 	}
@@ -94,7 +99,7 @@ func Evaluate(ctx context.Context, p *physical.Plan) (*Answer, error) {
 // free of unavailable sources evaluates to data, and the remainder converts
 // back to OQL (the paper's "the physical expression is transformed back
 // into a high level query").
-func Residual(logical algebra.Node, outcomes map[*algebra.Submit]physical.Outcome) (oql.Expr, error) {
+func Residual(ctx context.Context, logical algebra.Node, outcomes map[*algebra.Submit]physical.Outcome) (oql.Expr, error) {
 	// Step 1: substitute available results for their submit nodes.
 	substituted := algebra.Transform(logical, func(n algebra.Node) algebra.Node {
 		if sub, ok := n.(*algebra.Submit); ok {
@@ -106,7 +111,7 @@ func Residual(logical algebra.Node, outcomes map[*algebra.Submit]physical.Outcom
 	})
 	// Step 2: evaluate every maximal subtree that no longer depends on a
 	// remote call.
-	collapsed, err := collapse(substituted)
+	collapsed, err := collapse(ctx, substituted)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +122,7 @@ func Residual(logical algebra.Node, outcomes map[*algebra.Submit]physical.Outcom
 }
 
 // collapse rewrites bottom-up, folding remote-free subtrees to constants.
-func collapse(n algebra.Node) (algebra.Node, error) {
+func collapse(ctx context.Context, n algebra.Node) (algebra.Node, error) {
 	switch n.(type) {
 	case *algebra.Submit, *algebra.Eval:
 		// A remaining submit is an unavailable source: its whole subtree
@@ -131,8 +136,7 @@ func collapse(n algebra.Node) (algebra.Node, error) {
 		if _, ok := n.(*algebra.Const); ok {
 			return n, nil
 		}
-		in := &algebra.Interp{}
-		v, err := in.Run(n)
+		v, err := physical.RunLocal(ctx, n, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -151,7 +155,7 @@ func collapse(n algebra.Node) (algebra.Node, error) {
 	}
 	rebuilt := make([]algebra.Node, len(children))
 	for i, c := range children {
-		cc, err := collapse(c)
+		cc, err := collapse(ctx, c)
 		if err != nil {
 			return nil, err
 		}

@@ -116,7 +116,7 @@ func evaluate(t *testing.T, w *world, src string) *Answer {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	ans, err := Evaluate(ctx, p)
+	ans, err := Evaluate(context.Background(), ctx, p)
 	if err != nil {
 		t.Fatalf("Evaluate(%q): %v", src, err)
 	}
@@ -154,6 +154,42 @@ func TestPaperPartialAnswer(t *testing.T) {
 	want := `union(select x.name from x in person0 where x.salary > 10, bag("Sam"))`
 	if got != want {
 		t.Errorf("residual:\n got  %s\n want %s", got, want)
+	}
+}
+
+// TestResidualFoldsUnderTheCallersContext: a residual is built after the §4
+// evaluation deadline has passed, so folding the answered shards must not
+// run under it — here the deadline lapsed before evaluation even began, and
+// Sam still folds to data. The caller's own cancellation does stop it.
+func TestResidualFoldsUnderTheCallersContext(t *testing.T) {
+	w := paperWorld()
+	w.down["r0"] = true
+	e, err := oql.ParseQuery(paperQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := algebra.Compile(e, resolver{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := physical.Build(algebra.Normalize(plan), w.runtime())
+	if err != nil {
+		t.Fatal(err)
+	}
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	ans, err := Evaluate(context.Background(), expired, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `union(select x.name from x in person0 where x.salary > 10, bag("Sam"))`
+	if ans.Complete || ans.Residual.String() != want {
+		t.Errorf("answer past the deadline:\n got  %s\n want %s", ans, want)
+	}
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Residual(gone, p.Logical, p.Outcomes()); !errors.Is(err, context.Canceled) {
+		t.Errorf("folding for a caller that walked away: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -315,7 +351,7 @@ func TestRealSourceErrorIsNotPartial(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	if _, err := Evaluate(ctx, p); err == nil {
+	if _, err := Evaluate(context.Background(), ctx, p); err == nil {
 		t.Error("genuine source errors must not produce partial answers")
 	}
 }

@@ -48,11 +48,17 @@ func (p *Plan) build(n algebra.Node, rt *Runtime) (Operator, error) {
 	case *algebra.Const:
 		return &ConstScan{Bag: x.Data}, nil
 	case *algebra.Submit:
+		if rt == nil || rt.Submit == nil {
+			return nil, fmt.Errorf("physical: no submitter for %s", x)
+		}
 		e := NewExec(x.Repo, x.Input, rt)
 		p.Execs[x] = e
 		return e, nil
 	case *algebra.Get:
-		return nil, fmt.Errorf("physical: get(%s) outside submit", x.Ref.Extent)
+		if rt == nil || rt.Collections == nil {
+			return nil, fmt.Errorf("physical: get(%s) outside submit", x.Ref.Extent)
+		}
+		return &CollScan{Cols: rt.Collections, Name: x.Ref.Extent}, nil
 	case *algebra.Eval:
 		return &EvalScan{Expr: x.Expr, rt: rt}, nil
 	case *algebra.Union:
@@ -231,6 +237,18 @@ func (p *Plan) Run(ctx context.Context) (types.Value, error) {
 		return elems[0], nil
 	}
 	return types.NewBag(elems...), nil
+}
+
+// RunLocal builds and runs a remote-free plan whose get leaves scan cols: the
+// entry point of everything that executes plans below the wire — a source's
+// SQL, a wrapper that implements the operators itself, residual folding
+// (which holds no collections and passes nil).
+func RunLocal(ctx context.Context, plan algebra.Node, cols algebra.Collections) (types.Value, error) {
+	p, err := Build(plan, &Runtime{Collections: cols})
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(ctx)
 }
 
 // Outcome is the result of one exec call.

@@ -346,6 +346,7 @@ var (
 	_ Operator = (*HashJoin)(nil)
 	_ Operator = (*Exec)(nil)
 	_ Operator = (*ConstScan)(nil)
+	_ Operator = (*CollScan)(nil)
 	_ Operator = (*EvalScan)(nil)
 	_ Operator = (*MkBind)(nil)
 	_ Operator = (*MkSelect)(nil)

@@ -2,6 +2,13 @@
 // Volcano-style operators the run-time system executes, including the exec
 // physical algorithm that implements the submit logical operator.
 //
+// It is the one plan executor on both sides of the wire. The mediator builds
+// plans whose leaves are exec calls; a data source, the CSV wrapper and
+// residual folding run remote-free plans through RunLocal, whose leaves scan
+// the caller's own collections (Runtime.Collections). Sharing the operators
+// is what makes a wrapper's semantics match the mediator's exactly (§3.2);
+// algebra.Interp stays only as the specification the tests diff them against.
+//
 // Operators are batch-at-a-time: NextBatch moves up to types.BatchSize
 // values per call through reusable buffers, so per-call overhead (interface
 // dispatch, predicate setup, channel operations in the scatter-gather
@@ -75,6 +82,10 @@ type Runtime struct {
 	// per prepared plan, so re-executing a cached plan skips compilation;
 	// nil compiles per operator instance.
 	Programs *oql.ProgramCache
+	// Collections resolves get leaves to the holder's own data: a source's
+	// relations, a wrapper's file. It is nil at the mediator, which holds no
+	// collections — there a get outside a submit is a build error.
+	Collections algebra.Collections
 }
 
 // resolver tolerates a nil receiver so operators constructed directly
@@ -168,7 +179,7 @@ type Exec struct {
 	hurried  bool
 	waitOnce sync.Once
 	res      execResult
-	idx      int
+	scan     ConstScan // streams the answer once it has arrived
 }
 
 // NewExec returns an exec operator for a submit node.
@@ -240,7 +251,7 @@ func (e *Exec) Outcome() Outcome {
 // Open implements Operator.
 func (e *Exec) Open(ctx context.Context) error {
 	e.Start(ctx)
-	e.idx = 0
+	e.scan.idx = 0
 	return nil
 }
 
@@ -250,15 +261,8 @@ func (e *Exec) NextBatch(out *types.Batch) error {
 	if err != nil {
 		return err
 	}
-	out.Reset()
-	if e.idx >= bag.Len() {
-		return io.EOF
-	}
-	for e.idx < bag.Len() && !out.Full() {
-		out.Append(bag.At(e.idx))
-		e.idx++
-	}
-	return nil
+	e.scan.Bag = bag
+	return e.scan.NextBatch(out)
 }
 
 // Close implements Operator.
@@ -294,6 +298,36 @@ func (c *ConstScan) NextBatch(out *types.Batch) error {
 
 // Close implements Operator.
 func (c *ConstScan) Close() error { return nil }
+
+// CollScan is the source-side leaf: it streams the named collection of the
+// runtime's Collections. Below a get there is no §4 — nothing turns a lapsed
+// deadline into a partial answer — so, unlike the mediator's operator loops
+// (cancelErr), it stops on any context error, at every batch boundary.
+type CollScan struct {
+	Cols algebra.Collections
+	Name string
+
+	ctx  context.Context
+	scan ConstScan
+}
+
+// Open implements Operator.
+func (s *CollScan) Open(ctx context.Context) error {
+	bag, err := s.Cols.Collection(s.Name)
+	s.ctx, s.scan = ctx, ConstScan{Bag: bag}
+	return err
+}
+
+// NextBatch implements Operator.
+func (s *CollScan) NextBatch(out *types.Batch) error {
+	if err := s.ctx.Err(); err != nil {
+		return fmt.Errorf("physical: scan of %s stopped: %w", s.Name, err)
+	}
+	return s.scan.NextBatch(out)
+}
+
+// Close implements Operator.
+func (s *CollScan) Close() error { return nil }
 
 // EvalScan evaluates an arbitrary OQL expression (compiled) and yields the
 // single resulting value.
@@ -801,7 +835,6 @@ type MkAgg struct {
 	Fn    string
 	Input Operator
 	done  bool
-	in    *types.Batch
 	ctx   context.Context
 }
 
@@ -809,9 +842,6 @@ type MkAgg struct {
 func (a *MkAgg) Open(ctx context.Context) error {
 	a.done = false
 	a.ctx = ctx
-	if a.in == nil {
-		a.in = types.NewBatch(0)
-	}
 	return a.Input.Open(ctx)
 }
 
@@ -822,21 +852,9 @@ func (a *MkAgg) NextBatch(out *types.Batch) error {
 		return io.EOF
 	}
 	a.done = true
-	var elems []types.Value
-	for {
-		// The aggregate's inner drain bypasses Drain's loop, so it carries
-		// its own batch-boundary cancellation check.
-		if err := cancelErr(a.ctx); err != nil {
-			return err
-		}
-		err := a.Input.NextBatch(a.in)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		elems = append(elems, a.in.Values()...)
+	elems, err := drainOpened(a.ctx, a.Input)
+	if err != nil {
+		return err
 	}
 	v, err := oql.ApplyCall(a.Fn, []types.Value{types.NewBag(elems...)})
 	if err != nil {
@@ -867,6 +885,11 @@ func cancelErr(ctx context.Context) error {
 	return nil
 }
 
+// drainBatches recycles Drain's transfer batch: a source runs one Drain per
+// query (more under joins and aggregates), and a fresh 16 KiB buffer each
+// time would dominate a point query's allocation.
+var drainBatches = sync.Pool{New: func() any { return types.NewBatch(0) }}
+
 // Drain runs an operator to exhaustion and returns its elements. The
 // operator is closed even when Open fails partway: a composite whose n-th
 // input failed to open may already have launched goroutines under inputs
@@ -878,7 +901,14 @@ func Drain(ctx context.Context, op Operator) ([]types.Value, error) {
 		return nil, err
 	}
 	defer op.Close()
-	b := types.NewBatch(0)
+	return drainOpened(ctx, op)
+}
+
+// drainOpened is Drain's loop over an operator its caller opened and will
+// close (an aggregate's input).
+func drainOpened(ctx context.Context, op Operator) ([]types.Value, error) {
+	b := drainBatches.Get().(*types.Batch)
+	defer drainBatches.Put(b)
 	var out []types.Value
 	for {
 		if err := cancelErr(ctx); err != nil {

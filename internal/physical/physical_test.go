@@ -47,9 +47,20 @@ func person(id int64, name string, salary int64) *types.Struct {
 	)
 }
 
+func bonus(pid, amount int64) *types.Struct {
+	return types.NewStruct(
+		types.Field{Name: "pid", Value: types.Int(pid)},
+		types.Field{Name: "amount", Value: types.Int(amount)},
+	)
+}
+
 func stores() map[string]algebra.CollectionsMap {
 	return map[string]algebra.CollectionsMap{
-		"r0": {"person0": types.NewBag(person(1, "Mary", 200), person(3, "Ann", 5))},
+		"r0": {
+			"person0": types.NewBag(person(1, "Mary", 200), person(3, "Ann", 5)),
+			// Only source-side (SQL-shaped) plans read bonus0.
+			"bonus0": types.NewBag(bonus(1, 10), bonus(1, 20), bonus(3, 10), bonus(9, 1)),
+		},
 		"r1": {"person1": types.NewBag(person(2, "Sam", 50), person(1, "Mary", 55))},
 	}
 }
@@ -81,12 +92,13 @@ func (f *fixtureRuntime) runtime() *Runtime {
 		if !ok {
 			return nil, fmt.Errorf("unknown repo %q", repo)
 		}
+		// The source side of the wire: the pushed-down fragment, in the
+		// source namespace, on the engine production sources run.
 		src, err := algebra.ToSource(expr)
 		if err != nil {
 			return nil, err
 		}
-		in := &algebra.Interp{Cols: cols}
-		v, err := in.Run(src)
+		v, err := RunLocal(ctx, src, cols)
 		if err != nil {
 			return nil, err
 		}
@@ -121,7 +133,10 @@ func compile(t *testing.T, src string) algebra.Node {
 
 // TestPlansAgreeWithInterp: the physical runtime must agree with the
 // logical interpreter on the shared query corpus, for raw and fully
-// rewritten plans.
+// rewritten plans — on both sides of the wire. The physical side runs its
+// pushed-down fragments through RunLocal (the fixture's Submit), the
+// specification side through a second Interp over the same stores, so the
+// two share no executor.
 func TestPlansAgreeWithInterp(t *testing.T) {
 	queries := []string{
 		`select x.name from x in person where x.salary > 10`,
@@ -138,6 +153,14 @@ func TestPlansAgreeWithInterp(t *testing.T) {
 	}
 	f := &fixtureRuntime{data: stores()}
 	rt := f.runtime()
+	spec := &algebra.Interp{Resolver: rt.Resolver}
+	spec.Submitter = func(repo string, expr algebra.Node) (types.Value, error) {
+		src, err := algebra.ToSource(expr)
+		if err != nil {
+			return nil, err
+		}
+		return (&algebra.Interp{Cols: f.data[repo]}).Run(src)
+	}
 	for _, src := range queries {
 		for _, rewrite := range []bool{false, true} {
 			plan := compile(t, src)
@@ -153,13 +176,7 @@ func TestPlansAgreeWithInterp(t *testing.T) {
 				t.Errorf("run %q (rewrite=%v): %v", src, rewrite, err)
 				continue
 			}
-			in := &algebra.Interp{
-				Submitter: func(repo string, expr algebra.Node) (types.Value, error) {
-					return rt.Submit(context.Background(), repo, expr)
-				},
-				Resolver: rt.Resolver,
-			}
-			want, err := in.Run(plan)
+			want, err := spec.Run(plan)
 			if err != nil {
 				t.Fatalf("interp %q: %v", src, err)
 			}
@@ -167,6 +184,63 @@ func TestPlansAgreeWithInterp(t *testing.T) {
 				t.Errorf("%q (rewrite=%v):\n physical %s\n interp   %s\n plan %s", src, rewrite, got, want, plan)
 			}
 		}
+	}
+
+	// SQL-shaped plans, as source.ParseSQL builds them: get leaves over raw
+	// rows, bare column names, no variable structure. Both engines must
+	// agree on the value, or both must refuse.
+	table := func(name string) algebra.Node {
+		return &algebra.Get{Ref: algebra.ExtentRef{Extent: name, Source: name}}
+	}
+	cols := func(names ...string) []algebra.Col {
+		out := make([]algebra.Col, len(names))
+		for i, n := range names {
+			out[i] = algebra.Col{Name: n, Expr: &oql.Ident{Name: n}}
+		}
+		return out
+	}
+	cond := func(src string) oql.Expr {
+		e, err := oql.ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	rawJoin := &algebra.Join{L: table("person0"), R: table("bonus0"), Pred: cond(`id = pid and amount >= 10`)}
+	sourcePlans := []struct {
+		name string
+		plan algebra.Node
+		rows int // -1: both engines must refuse
+	}{
+		{"join over raw rows", &algebra.Project{Cols: cols("name", "amount"), Input: rawJoin}, 3},
+		{"cross join", &algebra.Join{L: table("person0"), R: table("bonus0")}, 8},
+		{"distinct", &algebra.Distinct{Input: &algebra.Project{Cols: cols("pid"), Input: table("bonus0")}}, 3},
+		{"subquery in from", &algebra.Project{Cols: cols("name"), Input: &algebra.Select{Pred: cond(`salary > 10`),
+			Input: &algebra.Project{Cols: cols("name", "salary"), Input: table("person0")}}}, 1},
+		{"empty result", &algebra.Select{Pred: cond(`salary > 100000`), Input: table("person0")}, 0},
+		{"unknown table", &algebra.Project{Cols: cols("name"), Input: table("nosuch")}, -1},
+		{"unknown column", &algebra.Select{Pred: cond(`nosuch > 1`), Input: table("person0")}, -1},
+		{"unknown projected column", &algebra.Project{Cols: cols("nosuch"), Input: table("person0")}, -1},
+		{"submit below the wire", &algebra.Submit{Repo: "r1", Input: table("person1")}, -1},
+	}
+	for _, c := range sourcePlans {
+		got, gotErr := RunLocal(context.Background(), c.plan, f.data["r0"])
+		want, wantErr := (&algebra.Interp{Cols: f.data["r0"]}).Run(c.plan)
+		switch {
+		case (gotErr == nil) != (c.rows >= 0) || (wantErr == nil) != (c.rows >= 0):
+			t.Errorf("%s: physical err = %v, interp err = %v", c.name, gotErr, wantErr)
+		case gotErr == nil && (!got.Equal(want) || got.(*types.Bag).Len() != c.rows):
+			t.Errorf("%s: want %d rows\n physical %s\n interp   %s", c.name, c.rows, got, want)
+		}
+	}
+	// Raw rows bind no variables (EnvVars is empty), so the equi-predicate
+	// cannot be split by side: the implementation rule must stay nested-loop.
+	p, err := Build(rawJoin, &Runtime{Collections: f.data["r0"]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := p.Root.(*NLJoin); !ok {
+		t.Errorf("join over raw rows built %T, want *NLJoin", p.Root)
 	}
 }
 

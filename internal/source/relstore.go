@@ -4,8 +4,9 @@
 // self-contained engines that exercise the same wrapper code paths:
 //
 //   - RelStore: a small relational engine queried in a SQL dialect —
-//     the kind of server behind WrapperPostgres (§2.1). Query evaluation
-//     reuses the algebra interpreter so that operator semantics match the
+//     the kind of server behind WrapperPostgres (§2.1). Its SQL compiles to
+//     the shared logical algebra and runs on the mediator's own physical
+//     operators (physical.RunLocal), so operator semantics match the
 //     mediator exactly, the property §3.2 demands.
 //   - DocStore: a keyword-search document store with deliberately weak
 //     query power (scan and equality filter only), standing in for the
@@ -19,8 +20,8 @@ import (
 	"sort"
 	"sync"
 
-	"disco/internal/algebra"
 	"disco/internal/oql"
+	"disco/internal/physical"
 	"disco/internal/types"
 )
 
@@ -36,10 +37,10 @@ type Engine interface {
 
 // ContextEngine is implemented by engines whose query execution honors a
 // context: a cancelled or expired context stops evaluation at the next
-// operator (batch) boundary instead of computing an answer nobody will
-// read. Serving layers prefer it over Engine.Query when present, passing
-// the per-request context the wire server derived from the caller's
-// propagated deadline and cancel frames.
+// batch boundary instead of computing an answer nobody will read. Serving
+// layers prefer it over Engine.Query when present, passing the per-request
+// context the wire server derived from the caller's propagated deadline and
+// cancel frames.
 type ContextEngine interface {
 	QueryContext(ctx context.Context, q string) (*types.Bag, error)
 }
@@ -120,6 +121,11 @@ func (s *RelStore) Delete(table, cond string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	prog, err := oql.Compile(pred)
+	if err != nil {
+		return 0, err
+	}
+	env := prog.NewEnv(nil)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.tables[table]
@@ -129,12 +135,8 @@ func (s *RelStore) Delete(table, cond string) (int, error) {
 	kept := make([]types.Value, 0, len(t.rows))
 	removed := 0
 	for _, row := range t.rows {
-		st := row.(*types.Struct)
-		var env *oql.Env
-		for _, f := range st.Fields() {
-			env = env.Bind(f.Name, f.Value)
-		}
-		v, err := oql.Eval(pred, env, oql.EmptyResolver)
+		env.BindStruct(row.(*types.Struct))
+		v, err := prog.Eval(env)
 		if err != nil {
 			return 0, err
 		}
@@ -200,31 +202,30 @@ func (s *RelStore) Collections() []string {
 	return names
 }
 
-// Collection implements algebra.Collections so pushed-down logical
-// expressions evaluate directly against the store.
+// Collection implements algebra.Collections: the store's tables are what
+// the get leaves of its query plans scan.
 func (s *RelStore) Collection(name string) (*types.Bag, error) {
 	return s.Rows(name)
 }
 
 // Query implements Engine: it parses the SQL dialect and executes it. The
-// SQL is compiled to the shared logical algebra and run by the algebra
-// interpreter, which guarantees the engine's comparison and join semantics
-// are identical to the mediator's.
+// SQL is compiled to the shared logical algebra and run by the physical
+// operators the mediator itself runs, which guarantees the engine's
+// comparison and join semantics are identical to the mediator's.
 func (s *RelStore) Query(q string) (*types.Bag, error) {
 	//lint:allow ctxflow compat shim for the context-free Engine interface; context-aware callers (the mediator included) use QueryContext via ContextEngine
 	return s.QueryContext(context.Background(), q)
 }
 
-// QueryContext implements ContextEngine: Query, with the interpreter
-// checking the context at operator and join-loop boundaries so a cancelled
+// QueryContext implements ContextEngine: Query, with every table scan
+// checking the context at each batch boundary, so a cancelled or expired
 // request stops burning this store's CPU promptly.
 func (s *RelStore) QueryContext(ctx context.Context, q string) (*types.Bag, error) {
 	plan, err := ParseSQL(q)
 	if err != nil {
 		return nil, err
 	}
-	in := &algebra.Interp{Cols: s, Ctx: ctx}
-	v, err := in.Run(plan)
+	v, err := physical.RunLocal(ctx, plan, s)
 	if err != nil {
 		return nil, fmt.Errorf("relstore: %w", err)
 	}

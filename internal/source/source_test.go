@@ -1,8 +1,11 @@
 package source
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"disco/internal/types"
 )
@@ -34,6 +37,46 @@ func query(t *testing.T, s *RelStore, q string) *types.Bag {
 		t.Fatalf("Query(%q): %v", q, err)
 	}
 	return b
+}
+
+// TestRelStoreHonorsContext: there is no §4 below a source's scans, so any
+// context error — cancellation or a lapsed deadline — ends the query with
+// that error, before the first batch and in the middle of a long join.
+func TestRelStoreHonorsContext(t *testing.T) {
+	s := paperStore(t)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.QueryContext(cancelled, `select * from person0`); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled ctx: err = %v, want context.Canceled", err)
+	}
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if _, err := s.QueryContext(expired, `select * from person0`); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("expired ctx: err = %v, want context.DeadlineExceeded", err)
+	}
+
+	// A 2 000 × 2 000 cross join is four million output rows; a caller that
+	// walks away after 10 ms must get its error back long before them.
+	for _, table := range []string{"l", "r"} {
+		if err := s.CreateTable(table, table+"v"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2000; i++ {
+			if err := s.Insert(table, types.Int(int64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(10*time.Millisecond, cancel)
+	start := time.Now()
+	if _, err := s.QueryContext(ctx, `select * from l join r on lv >= 0`); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancel mid-join: err = %v, want context.Canceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("cancelled join took %v to return", elapsed)
+	}
 }
 
 func TestSelectStar(t *testing.T) {

@@ -10,15 +10,17 @@ import (
 
 	"disco/internal/algebra"
 	"disco/internal/capability"
+	"disco/internal/physical"
 	"disco/internal/types"
 )
 
 // CSV wraps a comma-separated file as a single-collection data source. It
 // demonstrates the other way a DBI can build a wrapper (§1.4): instead of
 // translating to a server's query language, the wrapper itself implements
-// the logical operators — here by loading the file and running the shared
-// algebra interpreter over it. Filtering and projection therefore execute
-// "at the source" from the mediator's point of view.
+// the logical operators — here by loading the file and running the
+// mediator's own physical operators over it (physical.RunLocal). Filtering
+// and projection therefore execute "at the source" from the mediator's
+// point of view.
 type CSV struct {
 	collection string
 	rows       *types.Bag
@@ -88,9 +90,8 @@ func (*CSV) Grammar() *capability.Grammar {
 }
 
 // Execute implements Wrapper.
-func (w *CSV) Execute(_ context.Context, expr algebra.Node) (*types.Bag, error) {
-	in := &algebra.Interp{Cols: algebra.CollectionsMap{w.collection: w.rows}}
-	v, err := in.Run(expr)
+func (w *CSV) Execute(ctx context.Context, expr algebra.Node) (*types.Bag, error) {
+	v, err := physical.RunLocal(ctx, expr, algebra.CollectionsMap{w.collection: w.rows})
 	if err != nil {
 		return nil, fmt.Errorf("csv wrapper: %w", err)
 	}
