@@ -10,7 +10,7 @@ GO ?= go
 # clean. CI reads this via `make print-staticcheck-version`.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: check fmt vet lint disco-lint print-staticcheck-version test test-race bench-module bench bench-all bench-compile build chaos
+.PHONY: check fmt vet lint disco-lint print-staticcheck-version test test-race fuzz-smoke bench-module bench bench-all bench-compile build chaos
 
 check: fmt lint test-race bench-module
 
@@ -62,6 +62,15 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# A short run of each wire-codec fuzzer: the decoder against arbitrary
+# bytes and the encoder against arbitrary strings, floats and integers,
+# both held to the encoding/json reference codec in
+# internal/types/json_spec_test.go. A failing input lands in
+# internal/types/testdata/fuzz and replays in every later `go test`.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeValue$$' -fuzztime 15s ./internal/types
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodeMatchesSpec$$' -fuzztime 15s ./internal/types
 
 # bench/ is its own module (replace disco => ../), so ./... above does not
 # reach it: an internal/* signature the benchmark imports can change and

@@ -756,26 +756,56 @@ func BenchmarkPlanCache(b *testing.B) {
 }
 
 // BenchmarkWireValueCodec measures the tagged value encoding used on every
-// source round trip.
+// source round trip, encode and decode apart. "rows=100" is a small answer
+// with a float column; "scan_wide_shard" is one shard's answer to bench/'s
+// scan_wide query: 512 rows of {id int, name str, salary int}.
 func BenchmarkWireValueCodec(b *testing.B) {
-	rows := make([]types.Value, 100)
-	for i := range rows {
-		rows[i] = types.NewStruct(
+	mixed := make([]types.Value, 100)
+	for i := range mixed {
+		mixed[i] = types.NewStruct(
 			types.Field{Name: "id", Value: types.Int(int64(i))},
 			types.Field{Name: "name", Value: types.Str(fmt.Sprintf("person-%d", i))},
 			types.Field{Name: "salary", Value: types.Float(float64(i) * 1.5)},
 		)
 	}
-	bag := types.NewBag(rows...)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data, err := types.EncodeValue(bag)
+	shard := make([]types.Value, 512)
+	for i := range shard {
+		id := int64(i * 16)
+		shard[i] = types.NewStruct(
+			types.Field{Name: "id", Value: types.Int(id)},
+			types.Field{Name: "name", Value: types.Str(fmt.Sprintf("person-%06d", id))},
+			types.Field{Name: "salary", Value: types.Int(id * 7919 % 250)},
+		)
+	}
+	for _, c := range []struct {
+		name string
+		v    types.Value
+	}{
+		{"rows=100", types.NewBag(mixed...)},
+		{"scan_wide_shard", types.NewBag(shard...)},
+	} {
+		data, err := types.EncodeValue(c.v)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := types.DecodeValue(data); err != nil {
-			b.Fatal(err)
-		}
+		b.Run(c.name+"/encode", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				if _, err := types.EncodeValue(c.v); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(c.name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				if _, err := types.DecodeValue(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,8 +1,9 @@
-// Live shard migration records (ROADMAP item 2): catalog operations to move
-// a shard between repositories and to split or merge range partitions while
-// queries run. A migration is a small state machine whose resting states live
-// in the catalog, so every phase transition is one catalog version bump and
-// the prepared-plan cache invalidates for free:
+// Live shard migration records (history: the live-migration entry of
+// CHANGES.md): catalog operations to move a shard between repositories and
+// to split or merge range partitions while queries run. A migration is a
+// small state machine whose resting states live in the catalog, so every
+// phase transition is one catalog version bump and the prepared-plan cache
+// invalidates for free:
 //
 //	declared -> copying -> dual-read -> cutover -> (record removed)
 //	                   \-> cutover (merge skips dual-read)

@@ -1,8 +1,9 @@
-// Hotspot detection (ROADMAP item 2): the mediator counts logical reads per
-// shard (the denominator lives in runtime.go's submit path) and surfaces the
-// shards drawing an outsized share of their extent's traffic, with a
-// rebalance recommendation the live-migration machinery can act on — split a
-// hot range shard, or move it to a quieter repository.
+// Hotspot detection (history: the live-migration entry of CHANGES.md): the
+// mediator counts logical reads per shard (the denominator lives in
+// runtime.go's submit path) and surfaces the shards drawing an outsized
+// share of their extent's traffic, with a rebalance recommendation the
+// live-migration machinery can act on — split a hot range shard, or move it
+// to a quieter repository.
 package core
 
 import (

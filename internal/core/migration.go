@@ -1,8 +1,9 @@
-// The live-migration driver (ROADMAP item 2): the phase machine that moves
-// a shard between repositories or splits/merges range partitions while
-// queries keep running. The catalog holds the resting states; this file does
-// the work between them — the idempotent copy, the cutover, and the
-// source-side cleanup — one crash-safe step at a time:
+// Live migration, the mediator side (history: the live-migration entry of
+// CHANGES.md): the phase machine that moves a shard between repositories or
+// splits/merges range partitions while queries keep running. The catalog
+// holds the resting states; this file does the work between them — the
+// idempotent copy, the cutover, and the source-side cleanup — one crash-safe
+// step at a time:
 //
 //	declared --Advance--> copying --Advance(copy)--> dual-read
 //	dual-read --Advance--> cutover --Advance(cleanup)--> record removed

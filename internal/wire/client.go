@@ -536,10 +536,13 @@ func (cc *clientConn) shutdown(err error) {
 	close(cc.done)
 }
 
-// fail is shutdown plus eviction from the pool.
+// fail is eviction from the pool plus shutdown. Eviction comes first: a
+// connection marked closed but still pooled would be handed by conn() to
+// every retry of the request that broke it, each failing at once, and the
+// transparent redial would give up before it ever dialled.
 func (cc *clientConn) fail(err error) {
-	cc.shutdown(err)
 	cc.c.remove(cc)
+	cc.shutdown(err)
 }
 
 // roundTrip registers the request, writes its frame, and waits for the
