@@ -63,14 +63,18 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# A short run of each wire-codec fuzzer: the decoder against arbitrary
-# bytes and the encoder against arbitrary strings, floats and integers,
-# both held to the encoding/json reference codec in
-# internal/types/json_spec_test.go. A failing input lands in
-# internal/types/testdata/fuzz and replays in every later `go test`.
+# A short run of each fuzzer that holds a fast path to its specification:
+# the wire-codec decoder against arbitrary bytes and the encoder against
+# arbitrary strings, floats and integers, both held to the encoding/json
+# reference codec in internal/types/json_spec_test.go; the structural
+# algebra.Equal held to plan-string equality; and the optimizer's memoized
+# capability verdicts held to the Earley recognizer. A failing input lands
+# in the package's testdata/fuzz and replays in every later `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeValue$$' -fuzztime 15s ./internal/types
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeMatchesSpec$$' -fuzztime 15s ./internal/types
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanEqual$$' -fuzztime 15s ./internal/algebra
+	$(GO) test -run '^$$' -fuzz '^FuzzAcceptsMemo$$' -fuzztime 15s ./internal/core
 
 # bench/ is its own module (replace disco => ../), so ./... above does not
 # reach it: an internal/* signature the benchmark imports can change and

@@ -8,6 +8,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -465,27 +466,163 @@ func mustArity(op string, children []Node, n int) {
 	}
 }
 
-// Equal reports whether two plans are structurally identical. The canonical
-// string rendering carries every semantically relevant detail, so string
-// comparison is the definition.
-func Equal(a, b Node) bool { return a.String() == b.String() }
+// Equal reports whether two plans are identical: whether their canonical
+// strings, which carry every semantically relevant detail, are equal. It
+// walks both trees instead of rendering them: shared subtrees compare by
+// pointer, the walk returns at the first node whose operator or
+// parameters differ, and expressions compare by pointer before falling
+// back to their text.
+// Constant data and node types this package does not define compare by
+// their rendering. The string-equality specification in equal_spec_test.go
+// holds this walk to String over generated plan pairs.
+func Equal(a, b Node) bool {
+	if a == b {
+		return true
+	}
+	switch x := a.(type) {
+	case *Get:
+		if y, ok := b.(*Get); ok {
+			return x.Ref.Extent == y.Ref.Extent && x.Ref.Partition == y.Ref.Partition ||
+				x.Ref.QualifiedName() == y.Ref.QualifiedName()
+		}
+	case *Const:
+		if y, ok := b.(*Const); ok {
+			return x.Data == y.Data || x.String() == y.String()
+		}
+	case *Union:
+		if y, ok := b.(*Union); ok {
+			if x.Par != y.Par || len(x.Inputs) != len(y.Inputs) {
+				return false
+			}
+			for i := range x.Inputs {
+				if !Equal(x.Inputs[i], y.Inputs[i]) {
+					return false
+				}
+			}
+			return true
+		}
+	case *Submit:
+		if y, ok := b.(*Submit); ok {
+			return x.Repo == y.Repo && Equal(x.Input, y.Input)
+		}
+	case *Bind:
+		if y, ok := b.(*Bind); ok {
+			return x.Var == y.Var && Equal(x.Input, y.Input)
+		}
+	case *Select:
+		if y, ok := b.(*Select); ok {
+			return exprEqual(x.Pred, y.Pred) && Equal(x.Input, y.Input)
+		}
+	case *Project:
+		if y, ok := b.(*Project); ok {
+			if len(x.Cols) != len(y.Cols) {
+				return false
+			}
+			for i, c := range x.Cols {
+				d := y.Cols[i]
+				if c.Name != d.Name || !exprEqual(c.Expr, d.Expr) {
+					return false
+				}
+			}
+			return Equal(x.Input, y.Input)
+		}
+	case *Map:
+		if y, ok := b.(*Map); ok {
+			return exprEqual(x.Expr, y.Expr) && Equal(x.Input, y.Input)
+		}
+	case *Join:
+		if y, ok := b.(*Join); ok {
+			return joinPredEqual(x.Pred, y.Pred) && Equal(x.L, y.L) && Equal(x.R, y.R)
+		}
+	case *Nest:
+		if y, ok := b.(*Nest); ok {
+			if len(x.Groups) != len(y.Groups) {
+				return false
+			}
+			for i, g := range x.Groups {
+				if g.Var != y.Groups[i].Var || !slices.Equal(g.Attrs, y.Groups[i].Attrs) {
+					return false
+				}
+			}
+			return Equal(x.Input, y.Input)
+		}
+	case *Depend:
+		if y, ok := b.(*Depend); ok {
+			return x.Var == y.Var && exprEqual(x.Domain, y.Domain) && Equal(x.Input, y.Input)
+		}
+	case *Distinct:
+		if y, ok := b.(*Distinct); ok {
+			return Equal(x.Input, y.Input)
+		}
+	case *Flatten:
+		if y, ok := b.(*Flatten); ok {
+			return Equal(x.Input, y.Input)
+		}
+	case *Agg:
+		if y, ok := b.(*Agg); ok {
+			return x.Fn == y.Fn && Equal(x.Input, y.Input)
+		}
+	case *Eval:
+		if y, ok := b.(*Eval); ok {
+			return exprEqual(x.Expr, y.Expr)
+		}
+	}
+	// Different operators render under different names — unless one is an
+	// Agg, whose function name may spell another operator's (an Agg "distinct"
+	// renders like a Distinct), or a node type defined elsewhere.
+	if namedOp(a) && namedOp(b) {
+		return false
+	}
+	return a.String() == b.String()
+}
+
+// namedOp reports whether n is one of this package's operators whose
+// rendering starts with its own fixed operator name.
+func namedOp(n Node) bool {
+	switch n.(type) {
+	case *Get, *Const, *Union, *Submit, *Bind, *Select, *Project, *Map,
+		*Join, *Nest, *Depend, *Distinct, *Flatten, *Eval:
+		return true
+	}
+	return false
+}
+
+// exprEqual compares two expressions by pointer, then by rendering.
+func exprEqual(a, b oql.Expr) bool { return a == b || a.String() == b.String() }
+
+// joinPredEqual is exprEqual for join predicates, where nil renders as
+// "true".
+func joinPredEqual(a, b oql.Expr) bool {
+	switch {
+	case a == b:
+		return true
+	case a == nil:
+		return b.String() == "true"
+	case b == nil:
+		return a.String() == "true"
+	}
+	return a.String() == b.String()
+}
 
 // Transform applies f bottom-up over the plan, rebuilding nodes whose
-// children changed.
+// children changed. A node's child slice is copied only once one of its
+// children actually changes.
 func Transform(n Node, f func(Node) Node) Node {
 	children := n.Children()
-	if len(children) > 0 {
-		rebuilt := make([]Node, len(children))
-		changed := false
-		for i, c := range children {
-			rebuilt[i] = Transform(c, f)
-			if rebuilt[i] != c {
-				changed = true
+	var rebuilt []Node
+	for i, c := range children {
+		t := Transform(c, f)
+		if rebuilt == nil {
+			if t == c {
+				continue
 			}
+			rebuilt = make([]Node, len(children))
+			copy(rebuilt, children[:i])
 		}
-		if changed {
-			n = n.WithChildren(rebuilt)
-		}
+		rebuilt[i] = t
+	}
+	if rebuilt != nil {
+		n = n.WithChildren(rebuilt)
 	}
 	return f(n)
 }

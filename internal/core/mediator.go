@@ -39,6 +39,8 @@ type Mediator struct {
 	catalog *catalog.Catalog
 	history *costmodel.History
 	opt     *optimizer.Optimizer
+	// caps is the optimizer's capability oracle, with its verdict memo.
+	caps *mediatorCaps
 
 	// Timeout bounds query evaluation; sources that do not answer within
 	// it yield partial answers (QueryPartial) or errors (Query).
@@ -216,7 +218,8 @@ func New(opts ...Option) *Mediator {
 		o(m)
 	}
 	m.breakers = NewBreakers(m.breakerThreshold, m.breakerCooldown)
-	m.opt = optimizer.NewWithCapabilities(&mediatorCaps{m: m}, m.history)
+	m.caps = &mediatorCaps{m: m, memo: make(map[capsKey]bool)}
+	m.opt = optimizer.NewWithCapabilities(m.caps, m.history)
 	// The cost model consults the breakers: a submit to a source whose
 	// breaker is open is charged the evaluation timeout it would likely
 	// burn, and breaker transitions flush the prepared plans, which would

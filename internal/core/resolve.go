@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"disco/internal/algebra"
+	"disco/internal/capability"
 	"disco/internal/catalog"
 	"disco/internal/oql"
 	"disco/internal/types"
@@ -319,9 +322,33 @@ func (m *Mediator) expandViewsBound(e oql.Expr, bound map[string]bool) (oql.Expr
 // mediatorCaps implements algebra.Capabilities: a submit expression is
 // acceptable when every extent it reads is served by the same wrapper and
 // that wrapper's grammar derives the expression.
+//
+// memo holds the Earley verdicts, keyed by grammar and terminal string
+// (capsKey). Wrappers build their grammar once, and every default wrapper
+// of a kind shares one, so the pointer identifies it. capability.Tokenize
+// abstracts sources, attributes and constants, so the keys grow with query
+// shapes, not with shards or literals. The memo is bounded all the same:
+// it is cleared when it reaches capsMemoMax entries. A verdict depends on
+// nothing else, so no catalog or breaker change makes an entry stale.
 type mediatorCaps struct {
 	m *Mediator
+
+	mu   sync.Mutex
+	memo map[capsKey]bool
+	// recognitions counts the verdicts computed by the recognizer, that is
+	// the memo misses.
+	recognitions atomic.Int64
 }
+
+// capsKey identifies one recognition: a grammar and the terminal string of
+// an expression, its tokens joined by spaces.
+type capsKey struct {
+	g      *capability.Grammar
+	tokens string
+}
+
+// capsMemoMax bounds the verdict memo.
+const capsMemoMax = 4096
 
 // Accepts implements algebra.Capabilities.
 func (c *mediatorCaps) Accepts(repo string, expr algebra.Node) bool {
@@ -329,5 +356,22 @@ func (c *mediatorCaps) Accepts(repo string, expr algebra.Node) bool {
 	if err != nil {
 		return false
 	}
-	return w.Grammar().AcceptsExpr(expr)
+	g := w.Grammar()
+	tokens := capability.Tokenize(expr)
+	key := capsKey{g: g, tokens: strings.Join(tokens, " ")}
+	c.mu.Lock()
+	ok, hit := c.memo[key]
+	c.mu.Unlock()
+	if hit {
+		return ok
+	}
+	ok = g.Accepts(tokens)
+	c.recognitions.Add(1)
+	c.mu.Lock()
+	if len(c.memo) >= capsMemoMax {
+		clear(c.memo)
+	}
+	c.memo[key] = ok
+	c.mu.Unlock()
+	return ok
 }

@@ -60,10 +60,12 @@ func (h Handler) HandleQueryPartial(ctx context.Context, lang, text string) (jso
 	return value, "", nil, err
 }
 
+// fullGrammar is the grammar of a mediator serving as a source: a mediator
+// evaluates full OQL, so every operator composes. It is built once.
+var fullGrammar = capability.Standard(capability.FullOpSet())
+
 // Capability implements wire.Handler.
-func (h Handler) Capability() string {
-	return capability.Standard(capability.FullOpSet()).String()
-}
+func (h Handler) Capability() string { return fullGrammar.String() }
 
 // Collections implements wire.Handler.
 func (h Handler) Collections() []string {
@@ -168,11 +170,9 @@ type mediatorWrapper struct {
 	client *wire.Client
 }
 
-// Grammar implements wrapper.Wrapper: a mediator evaluates full OQL, so
-// every operator composes.
-func (*mediatorWrapper) Grammar() *capability.Grammar {
-	return capability.Standard(capability.FullOpSet())
-}
+// Grammar implements wrapper.Wrapper. It returns fullGrammar, built once;
+// callers must not modify it.
+func (*mediatorWrapper) Grammar() *capability.Grammar { return fullGrammar }
 
 // Execute implements wrapper.Wrapper.
 func (w *mediatorWrapper) Execute(ctx context.Context, expr algebra.Node) (*types.Bag, error) {

@@ -31,6 +31,9 @@ type Candidate struct {
 	// reflects the chosen candidate so EXPLAIN never names a shard the
 	// executed plan still reads.
 	pruned []string
+	// text is Plan's rendering, computed once: the dedup key and the sort's
+	// tie-breaker.
+	text string
 }
 
 // Report describes an optimization decision, for EXPLAIN-style output and
@@ -149,6 +152,7 @@ func (o *Optimizer) Optimize(plan algebra.Node) (algebra.Node, *Report) {
 				Plan:    candidate,
 				Cost:    o.estimate(candidate),
 				pruned:  v.pruned,
+				text:    s,
 			})
 		}
 	}
@@ -160,7 +164,7 @@ func (o *Optimizer) Optimize(plan algebra.Node) (algebra.Node, *Report) {
 		if ci.Cost.Total != cj.Cost.Total {
 			return ci.Cost.Total < cj.Cost.Total
 		}
-		si, sj := ci.Plan.String(), cj.Plan.String()
+		si, sj := ci.text, cj.text
 		if len(si) != len(sj) {
 			return len(si) < len(sj)
 		}

@@ -80,14 +80,16 @@ func parseCell(cell string) types.Value {
 	return types.Str(cell)
 }
 
-// Grammar implements Wrapper: get, select and project with composition,
-// all implemented inside the wrapper.
-func (*CSV) Grammar() *capability.Grammar {
-	return capability.Standard(capability.OpSet{
-		Get: true, Project: true, Select: true,
-		Compose: true, Connectives: true, Distinct: true,
-	})
-}
+// csvGrammar is the CSV wrapper's grammar, built once: get, select and
+// project with composition, all implemented inside the wrapper.
+var csvGrammar = capability.Standard(capability.OpSet{
+	Get: true, Project: true, Select: true,
+	Compose: true, Connectives: true, Distinct: true,
+})
+
+// Grammar implements Wrapper. It returns the package's one CSV grammar;
+// callers must not modify it.
+func (*CSV) Grammar() *capability.Grammar { return csvGrammar }
 
 // Execute implements Wrapper.
 func (w *CSV) Execute(ctx context.Context, expr algebra.Node) (*types.Bag, error) {

@@ -21,10 +21,10 @@ type Doc struct {
 // NewDoc returns a wrapper over a document-store querier.
 func NewDoc(q Querier) *Doc { return &Doc{q: q} }
 
-// docGrammar is hand-written in the paper's notation: the select production
-// admits exactly one equality comparison or one substring containment, and
-// does not compose.
-const docGrammar = `
+// docGrammarText is hand-written in the paper's notation: the select
+// production admits exactly one equality comparison or one substring
+// containment, and does not compose.
+const docGrammarText = `
 a :- b
 a :- c
 b :- get OPEN SOURCE CLOSE
@@ -33,16 +33,20 @@ p :- EQ OPEN ATTRIBUTE COMMA CONST CLOSE
 p :- CONTAINS OPEN ATTRIBUTE COMMA CONST CLOSE
 `
 
-// Grammar implements Wrapper.
-func (*Doc) Grammar() *capability.Grammar {
-	g, err := capability.Parse(docGrammar)
+// docGrammar is docGrammarText parsed once, at package initialization.
+var docGrammar = func() *capability.Grammar {
+	g, err := capability.Parse(docGrammarText)
 	if err != nil {
 		// The grammar is a compile-time constant; failing to parse it is a
 		// programming error.
 		panic(fmt.Sprintf("wrapper: doc grammar: %v", err))
 	}
 	return g
-}
+}()
+
+// Grammar implements Wrapper. It returns the grammar parsed once from
+// docGrammarText; callers must not modify it.
+func (*Doc) Grammar() *capability.Grammar { return docGrammar }
 
 // Execute implements Wrapper.
 func (w *Doc) Execute(ctx context.Context, expr algebra.Node) (*types.Bag, error) {

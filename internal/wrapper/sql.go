@@ -17,31 +17,35 @@ import (
 // restricted operator set can be declared to model weaker servers (the
 // capability sweep in the experiments uses this).
 type SQL struct {
-	q   Querier
-	ops capability.OpSet
+	q Querier
+	g *capability.Grammar
 }
 
-// NewSQL returns a SQL wrapper with the full relational operator set.
-func NewSQL(q Querier) *SQL {
+// sqlGrammar is NewSQL's grammar, built once and shared by every default
+// SQL wrapper: the full relational operator set, less bag union (the
+// relational engine's dialect has none) and arithmetic (which does not
+// appear in the dialect's predicates).
+var sqlGrammar = func() *capability.Grammar {
 	ops := capability.FullOpSet()
-	// The relational engine has no bag union operator in its dialect, and
-	// arithmetic does not appear in the dialect's predicates.
 	ops.Union = false
 	ops.Arithmetic = false
-	return NewSQLWithOps(q, ops)
-}
+	return capability.Standard(ops)
+}()
+
+// NewSQL returns a SQL wrapper with the full relational operator set.
+func NewSQL(q Querier) *SQL { return &SQL{q: q, g: sqlGrammar} }
 
 // NewSQLWithOps returns a SQL wrapper advertising only the given operator
-// set. The translator is unchanged — the grammar is the contract, and the
-// optimizer never sends what the grammar rejects.
+// set, building its grammar once here. The translator is unchanged — the
+// grammar is the contract, and the optimizer never sends what the grammar
+// rejects.
 func NewSQLWithOps(q Querier, ops capability.OpSet) *SQL {
-	return &SQL{q: q, ops: ops}
+	return &SQL{q: q, g: capability.Standard(ops)}
 }
 
-// Grammar implements Wrapper.
-func (w *SQL) Grammar() *capability.Grammar {
-	return capability.Standard(w.ops)
-}
+// Grammar implements Wrapper. It returns the grammar built with the
+// wrapper, the same value on every call; callers must not modify it.
+func (w *SQL) Grammar() *capability.Grammar { return w.g }
 
 // Execute implements Wrapper.
 func (w *SQL) Execute(ctx context.Context, expr algebra.Node) (*types.Bag, error) {

@@ -89,10 +89,12 @@ type Scan struct {
 // NewScan wraps an existing wrapper with a get-only grammar.
 func NewScan(inner Wrapper) *Scan { return &Scan{inner: inner} }
 
-// Grammar implements Wrapper.
-func (*Scan) Grammar() *capability.Grammar {
-	return capability.Standard(capability.ScanOpSet())
-}
+// scanGrammar is the get-only grammar, built once for every Scan wrapper.
+var scanGrammar = capability.Standard(capability.ScanOpSet())
+
+// Grammar implements Wrapper. It returns the package's one get-only
+// grammar; callers must not modify it.
+func (*Scan) Grammar() *capability.Grammar { return scanGrammar }
 
 // Execute implements Wrapper.
 func (s *Scan) Execute(ctx context.Context, expr algebra.Node) (*types.Bag, error) {
