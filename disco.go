@@ -107,10 +107,10 @@
 // around the copy — decides whether it closes again. The breaker is
 // advisory: when every copy of a shard is open, the mediator probes them
 // all anyway rather than declare unavailability without dialing, so a
-// breaker can delay but never forge a partial answer. The cost model
-// consults the breakers too, charging submits to open sources the
-// timeout they would burn, and Mediator.BreakerState exposes the state
-// per repository. A caller cancelling a query is classified as neither
+// breaker can delay but never forge a partial answer. Breakers steer
+// routing only: the optimizer never reads them, so a breaker moving
+// leaves every prepared plan in place. Mediator.BreakerState exposes the
+// state per repository. A caller cancelling a query is classified as neither
 // an answer nor unavailability: it cannot degrade the query into a
 // partial answer, and it cannot poison a breaker.
 //

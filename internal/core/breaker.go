@@ -48,8 +48,9 @@ func (s BreakerState) String() string {
 // The availability classifier feeds it (only classified unavailability
 // counts as failure — a source that answered, even with an error, is
 // alive) and replica routing consults it, so repeat queries skip a
-// known-dead copy without re-paying its timeout. It is safe for concurrent
-// use.
+// known-dead copy without re-paying its timeout. It is a routing concern
+// only: the optimizer never reads it, so no transition touches a prepared
+// plan. It is safe for concurrent use.
 type Breakers struct {
 	threshold int
 	cooldown  time.Duration
@@ -57,9 +58,6 @@ type Breakers struct {
 
 	mu      sync.Mutex
 	sources map[string]*sourceBreaker
-	// notify is invoked (outside the lock) whenever any source's state
-	// changes — the hook the mediator uses to flush cost-model caches.
-	notify func()
 }
 
 type sourceBreaker struct {
@@ -87,10 +85,6 @@ func NewBreakers(threshold int, cooldown time.Duration) *Breakers {
 	}
 }
 
-// SetNotify registers a hook invoked after any source's breaker changes
-// state. It must be set before the breakers are shared across goroutines.
-func (b *Breakers) SetNotify(f func()) { b.notify = f }
-
 func (b *Breakers) get(repo string) *sourceBreaker {
 	s, ok := b.sources[repo]
 	if !ok {
@@ -111,45 +105,36 @@ func (b *Breakers) get(repo string) *sourceBreaker {
 // breaker can delay but never forge an unavailability verdict.
 func (b *Breakers) Allow(repo string) bool {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	s := b.get(repo)
-	was := s.state
-	var allowed bool
 	switch s.state {
 	case BreakerClosed:
-		allowed = true
+		return true
 	case BreakerOpen:
 		if b.now().Sub(s.openedAt) >= b.cooldown {
 			s.state = BreakerHalfOpen
 			s.probing = true
-			allowed = true
+			return true
 		}
+		return false
 	default: // BreakerHalfOpen
 		if !s.probing {
 			s.probing = true
-			allowed = true
+			return true
 		}
+		return false
 	}
-	changed := s.state != was
-	b.mu.Unlock()
-	if changed && b.notify != nil {
-		b.notify()
-	}
-	return allowed
 }
 
 // Success records an answered submit (data or a genuine source error —
 // either proves the source alive) and closes the breaker.
 func (b *Breakers) Success(repo string) {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	s := b.get(repo)
-	changed := s.state != BreakerClosed
 	s.state = BreakerClosed
 	s.consecutive = 0
 	s.probing = false
-	b.mu.Unlock()
-	if changed && b.notify != nil {
-		b.notify()
-	}
 }
 
 // Failure records one classified unavailability. The threshold-th
@@ -157,8 +142,8 @@ func (b *Breakers) Success(repo string) {
 // half-open (a failed probe) re-arms the cooldown.
 func (b *Breakers) Failure(repo string) {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	s := b.get(repo)
-	was := s.state
 	s.consecutive++
 	s.probing = false
 	switch s.state {
@@ -170,11 +155,6 @@ func (b *Breakers) Failure(repo string) {
 	default: // Open or HalfOpen: the probe failed, re-arm the cooldown.
 		s.state = BreakerOpen
 		s.openedAt = b.now()
-	}
-	changed := s.state != was
-	b.mu.Unlock()
-	if changed && b.notify != nil {
-		b.notify()
 	}
 }
 

@@ -71,6 +71,25 @@ func TestBreakerTransitions(t *testing.T) {
 		t.Fatal("closed breaker must allow")
 	}
 
+	// A redundant success leaves a closed breaker closed.
+	b.Success("r0")
+	if got := b.State("r0"); got != BreakerClosed {
+		t.Fatalf("state after redundant success = %v, want closed", got)
+	}
+
+	// A success while open — an answer from a last-resort dial — closes it
+	// without waiting out the cooldown.
+	for i := 0; i < 3; i++ {
+		b.Failure("r0")
+	}
+	if got := b.State("r0"); got != BreakerOpen {
+		t.Fatalf("state after 3 more failures = %v, want open", got)
+	}
+	b.Success("r0")
+	if got := b.State("r0"); got != BreakerClosed {
+		t.Fatalf("state after success while open = %v, want closed", got)
+	}
+
 	// Sources are independent.
 	if got := b.State("r1"); got != BreakerClosed {
 		t.Fatalf("untouched source state = %v, want closed", got)
@@ -97,32 +116,5 @@ func TestBreakerReleaseReturnsProbeSlot(t *testing.T) {
 	b.Release("r0")
 	if !b.Allow("r0") {
 		t.Fatal("Release must return the probe slot so a later attempt can probe")
-	}
-}
-
-// TestBreakerNotify: state transitions (and only transitions) fire the
-// notify hook the mediator uses to flush cost caches.
-func TestBreakerNotify(t *testing.T) {
-	clock := time.Unix(0, 0)
-	b := NewBreakers(2, time.Minute)
-	b.now = func() time.Time { return clock }
-	calls := 0
-	b.SetNotify(func() { calls++ })
-
-	b.Failure("r0") // closed, below threshold: no transition
-	if calls != 0 {
-		t.Fatalf("notify fired %d times below the threshold", calls)
-	}
-	b.Failure("r0") // closed -> open
-	if calls != 1 {
-		t.Fatalf("notify after open = %d, want 1", calls)
-	}
-	b.Success("r0") // open -> closed
-	if calls != 2 {
-		t.Fatalf("notify after close = %d, want 2", calls)
-	}
-	b.Success("r0") // already closed: no transition
-	if calls != 2 {
-		t.Fatalf("redundant success fired notify (%d)", calls)
 	}
 }

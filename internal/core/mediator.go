@@ -50,8 +50,7 @@ type Mediator struct {
 	maxFanout int
 
 	// breakers is the per-source circuit-breaker set fed by the
-	// availability classifier and consulted by replica routing and the
-	// cost model.
+	// availability classifier and consulted by replica routing only.
 	breakers         *Breakers
 	breakerThreshold int
 	breakerCooldown  time.Duration
@@ -220,16 +219,6 @@ func New(opts ...Option) *Mediator {
 	m.breakers = NewBreakers(m.breakerThreshold, m.breakerCooldown)
 	m.caps = &mediatorCaps{m: m, memo: make(map[capsKey]bool)}
 	m.opt = optimizer.NewWithCapabilities(m.caps, m.history)
-	// The cost model consults the breakers: a submit to a source whose
-	// breaker is open is charged the evaluation timeout it would likely
-	// burn, and breaker transitions flush the prepared plans, which would
-	// otherwise keep serving an availability-penalized choice without
-	// ever re-optimizing.
-	m.opt.SetAvailability(
-		func(repo string) bool { return m.breakers.State(repo) != BreakerOpen },
-		float64(m.timeout)/float64(time.Millisecond),
-	)
-	m.breakers.SetNotify(m.flushPrepared)
 	return m
 }
 

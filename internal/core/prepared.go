@@ -85,17 +85,6 @@ func (m *Mediator) preparedStore(src string, version int64, entry preparedPlan) 
 	return entry
 }
 
-// flushPrepared drops every prepared plan while keeping the cache's
-// version watermark. Breaker transitions use it: a plan optimized while a
-// source was believed dead (availability-penalized costs) must not keep
-// serving from the prepared cache after the source's state changes.
-func (m *Mediator) flushPrepared() {
-	m.prepMu.Lock()
-	m.prepared = nil
-	m.prepOrder = m.prepOrder[:0]
-	m.prepMu.Unlock()
-}
-
 // clientFor returns the mediator's pooled wire client for a repository
 // address, creating it on first use. Every wrapper instance bound to the
 // same address — and the freshness checker — shares one client, so source

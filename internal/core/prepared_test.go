@@ -298,3 +298,65 @@ func TestPreparedPlanSharesCompiledPrograms(t *testing.T) {
 		t.Error("catalog change must invalidate the compiled programs with the plan")
 	}
 }
+
+// TestBreakerFlapKeepsPreparedPlans: fleet health steers routing, not
+// plans, so a flapping copy leaves the prepared cache alone. A hot working
+// set of 128 point texts over a 4-shard × 2-copy extent is prepared once;
+// one replica's breaker then cycles closed → open → closed 100 times, and
+// every re-prepare after every cycle must hit — texts pruned to the
+// flapping copy's shard and texts pruned elsewhere alike.
+func TestBreakerFlapKeepsPreparedPlans(t *testing.T) {
+	m := New()
+	var odl strings.Builder
+	for shard := 0; shard < 4; shard++ {
+		for _, suffix := range []string{"", "b"} {
+			repo := fmt.Sprintf("r%d%s", shard, suffix)
+			m.RegisterEngine(repo, shardStore(t, nil))
+			fmt.Fprintf(&odl, "%s := Repository(address=%q);\n", repo, "mem:"+repo)
+		}
+	}
+	odl.WriteString(`
+		w0 := WrapperPostgres();
+		interface Person (extent person) {
+		    attribute Short id;
+		    attribute String name;
+		    attribute Short salary;
+		}
+		extent people of Person wrapper w0 at r0|r0b, r1|r1b, r2|r2b, r3|r3b
+		    partition by hash(id);
+	`)
+	if err := m.ExecODL(odl.String()); err != nil {
+		t.Fatal(err)
+	}
+	const texts, flaps = 128, 100
+	hot := make([]string, texts)
+	for i := range hot {
+		hot[i] = fmt.Sprintf(`select x.name from x in people where x.id = %d`, i)
+		if _, tr, err := m.Prepare(hot[i]); err != nil || tr.CacheHit {
+			t.Fatalf("cold prepare of %q: err=%v hit=%v", hot[i], err, tr != nil && tr.CacheHit)
+		}
+	}
+	hits := 0
+	for flap := 0; flap < flaps; flap++ {
+		for i := 0; i < DefaultBreakerThreshold; i++ {
+			m.breakers.Failure("r3b")
+		}
+		if got := m.BreakerState("r3b"); got != BreakerOpen {
+			t.Fatalf("flap %d: r3b breaker = %v, want open", flap, got)
+		}
+		m.breakers.Success("r3b")
+		for _, q := range hot {
+			_, tr, err := m.Prepare(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.CacheHit {
+				hits++
+			}
+		}
+	}
+	if want := texts * flaps; hits != want {
+		t.Errorf("prepared-cache hits = %d of %d re-prepares (share %.3f), want every one",
+			hits, want, float64(hits)/float64(want))
+	}
+}

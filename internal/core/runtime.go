@@ -363,6 +363,8 @@ func (m *Mediator) orderCandidates(cands []string, expr algebra.Node) []string {
 		rank int
 		time time.Duration
 	}
+	var buf [4]costmodel.Estimate // room for the usual replica group, off the heap
+	ests := m.history.EstimateCopies(expr, cands, buf[:0])
 	rs := make([]ranked, len(cands))
 	for i, cand := range cands {
 		r := ranked{repo: cand}
@@ -374,11 +376,10 @@ func (m *Mediator) orderCandidates(cands []string, expr algebra.Node) []string {
 		default:
 			r.rank = 2
 		}
-		est := m.history.Estimate(cand, expr)
-		if est.Basis == costmodel.BasisDefault {
+		if ests[i].Basis == costmodel.BasisDefault {
 			r.time = time.Duration(1<<63 - 1)
 		} else {
-			r.time = est.Time
+			r.time = ests[i].Time
 		}
 		rs[i] = r
 	}

@@ -199,19 +199,37 @@ func appendBounded(obs []observation, o observation, max int) []observation {
 
 // Estimate predicts the cost of an exec call from history.
 func (h *History) Estimate(repo string, expr algebra.Node) Estimate {
-	ex := repo + "|" + expr.String()
-	sh := repo + "|" + ShapeSignature(expr)
+	var one [1]Estimate
+	return h.EstimateCopies(expr, []string{repo}, one[:0])[0]
+}
+
+// EstimateCopies appends to dst the estimate of the same exec call at each
+// of the given copies, in order. The expression and its shape are rendered
+// once however many copies are asked about: the optimizer costs a
+// replicated submit at every copy, and routing ranks every copy of a shard.
+func (h *History) EstimateCopies(expr algebra.Node, repos []string, dst []Estimate) []Estimate {
+	text := expr.String()
+	shape := ShapeSignature(expr)
+	var buf [256]byte
+	key := buf[:0]
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if obs := h.exact[ex]; len(obs) > 0 {
-		t, r := h.smooth(obs)
-		return Estimate{Time: t, Rows: r, Basis: BasisExact}
+	for _, repo := range repos {
+		key = append(append(append(key[:0], repo...), '|'), text...)
+		if obs := h.exact[string(key)]; len(obs) > 0 {
+			t, r := h.smooth(obs)
+			dst = append(dst, Estimate{Time: t, Rows: r, Basis: BasisExact})
+			continue
+		}
+		key = append(append(append(key[:0], repo...), '|'), shape...)
+		if obs := h.shape[string(key)]; len(obs) > 0 {
+			t, r := h.smooth(obs)
+			dst = append(dst, Estimate{Time: t, Rows: r, Basis: BasisClose})
+			continue
+		}
+		dst = append(dst, DefaultEstimate())
 	}
-	if obs := h.shape[sh]; len(obs) > 0 {
-		t, r := h.smooth(obs)
-		return Estimate{Time: t, Rows: r, Basis: BasisClose}
-	}
-	return DefaultEstimate()
+	return dst
 }
 
 // smooth applies exponential smoothing, oldest first, so recent calls

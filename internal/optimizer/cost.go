@@ -46,49 +46,35 @@ const (
 // 0, data 1) applies, under which every source-side operation is free and
 // the optimizer pushes as much as wrapper grammars accept.
 func (o *Optimizer) estimate(plan algebra.Node) Cost {
-	c := &costing{history: o.history, avail: o.avail, unavailPenalty: o.unavailPenalty}
+	c := &costing{history: o.history}
 	c.visit(plan)
 	c.cost.Total = c.cost.SourceTime + c.cost.TransferValues*perValueNet + c.cost.MediatorCPU
 	return c.cost
 }
 
 type costing struct {
-	history        *costmodel.History
-	avail          func(repo string) bool
-	unavailPenalty float64
-	cost           Cost
+	history *costmodel.History
+	copies  []costmodel.Estimate // submitEstimate's scratch
+	cost    Cost
 }
 
-// submitEstimate costs a submit at its cheapest breaker-admitted copy: a
-// shard whose primary breaker is open but whose replica is healthy costs
-// the replica's estimate — routing dials the healthy copy first, burning
-// nothing on the dead one — not the primary's estimate plus the timeout
-// penalty. Only a shard with no admitted copy at all reports penalized,
-// charging the timeout such a call would likely burn.
-func (c *costing) submitEstimate(x *algebra.Submit) (est costmodel.Estimate, penalized bool) {
-	estAt := func(repo string) costmodel.Estimate {
-		if c.history != nil {
-			return c.history.Estimate(repo, x.Input)
-		}
+// submitEstimate costs a submit at the cheapest of its copies: routing
+// picks the copy at execution time, so the plan is priced by the copy the
+// history says answers fastest. Fleet health plays no part — a plan
+// depends only on the catalog and the cost history, and a dead shard ends
+// in the same residual whichever candidate wins.
+func (c *costing) submitEstimate(x *algebra.Submit) costmodel.Estimate {
+	if c.history == nil {
 		return costmodel.DefaultEstimate()
 	}
-	if c.avail == nil {
-		return estAt(x.Repo), false
-	}
-	found := false
-	for _, cand := range submitCopies(x) {
-		if !c.avail(cand) {
-			continue
-		}
-		e := estAt(cand)
-		if !found || e.Time < est.Time {
-			est, found = e, true
+	c.copies = c.history.EstimateCopies(x.Input, submitCopies(x), c.copies[:0])
+	est := c.copies[0]
+	for _, e := range c.copies[1:] {
+		if e.Time < est.Time {
+			est = e
 		}
 	}
-	if found {
-		return est, false
-	}
-	return estAt(x.Repo), true
+	return est
 }
 
 // submitCopies lists the repositories holding every extent the submit
@@ -135,17 +121,12 @@ func submitCopies(x *algebra.Submit) []string {
 func (c *costing) visit(n algebra.Node) float64 {
 	switch x := n.(type) {
 	case *algebra.Submit:
-		est, penalized := c.submitEstimate(x)
+		est := c.submitEstimate(x)
 		width := defaultWidth
 		if attrs, ok := algebra.OutputAttrs(x.Input); ok {
 			width = float64(len(attrs))
 		}
 		c.cost.SourceTime += float64(est.Time) / float64(time.Millisecond)
-		if penalized {
-			// No copy of the shard is breaker-admitted: charge the timeout
-			// this call would likely burn waiting on a dead source.
-			c.cost.SourceTime += c.unavailPenalty
-		}
 		c.cost.TransferRows += est.Rows
 		c.cost.TransferValues += est.Rows * width
 		return est.Rows

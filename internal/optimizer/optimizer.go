@@ -3,7 +3,9 @@
 // alternatives, estimates each alternative's cost with the learned cost
 // model, and picks the cheapest. It keeps no plans: the mediator's prepared
 // cache holds each chosen plan with its report and flushes them when the
-// catalog or a breaker moves (§3.3's invalidation rule).
+// catalog moves (§3.3's invalidation rule). Fleet health is not an input:
+// plans depend only on the catalog and the cost history, and routing picks
+// a live copy of each shard at execution time.
 package optimizer
 
 import (
@@ -56,23 +58,6 @@ func (r *Report) ChosenCandidate() Candidate { return r.Candidates[r.Chosen] }
 type Optimizer struct {
 	caps    algebra.Capabilities
 	history *costmodel.History
-
-	// avail reports whether a repository is currently believed reachable
-	// (the mediator wires it to its per-source circuit breakers); nil
-	// means everything is. Submits to sources reported down are charged
-	// unavailPenalty milliseconds of source time — the timeout the call
-	// would likely burn before partial evaluation steps in.
-	avail          func(repo string) bool
-	unavailPenalty float64
-}
-
-// SetAvailability installs the availability oracle the cost model consults
-// and the source-time penalty (in milliseconds) charged per submit to a
-// source reported down. Call it before the optimizer is shared across
-// goroutines; plans chosen under older answers are the caller's to drop.
-func (o *Optimizer) SetAvailability(avail func(repo string) bool, penaltyMillis float64) {
-	o.avail = avail
-	o.unavailPenalty = penaltyMillis
 }
 
 // New returns an optimizer resolving wrapper grammars per repository.

@@ -15,34 +15,9 @@ func replicatedSubmit() *algebra.Submit {
 	return &algebra.Submit{Repo: "r0", Input: &algebra.Get{Ref: ref}}
 }
 
-// TestReplicatedSubmitNotPenalizedWhileReplicaHealthy: an open breaker on
-// the primary must not charge the unavailability penalty when a healthy
-// replica would answer without burning the timeout.
-func TestReplicatedSubmitNotPenalizedWhileReplicaHealthy(t *testing.T) {
-	const penalty = 2000.0
-	o := New(fullCaps(), costmodel.New())
-	o.SetAvailability(func(repo string) bool { return repo != "r0" }, penalty)
-	cost := o.estimate(replicatedSubmit())
-	if cost.SourceTime >= penalty {
-		t.Errorf("SourceTime = %v: penalized despite a healthy replica", cost.SourceTime)
-	}
-}
-
-// TestReplicatedSubmitPenalizedWhenAllCopiesDown: with no breaker-admitted
-// copy at all the timeout penalty still applies.
-func TestReplicatedSubmitPenalizedWhenAllCopiesDown(t *testing.T) {
-	const penalty = 2000.0
-	o := New(fullCaps(), costmodel.New())
-	o.SetAvailability(func(string) bool { return false }, penalty)
-	cost := o.estimate(replicatedSubmit())
-	if cost.SourceTime < penalty {
-		t.Errorf("SourceTime = %v, want >= the %v penalty with every copy down", cost.SourceTime, penalty)
-	}
-}
-
-// TestReplicatedSubmitCostsCheapestAdmittedCopy: among admitted copies the
-// submit costs the fastest one — the copy routing would dial first.
-func TestReplicatedSubmitCostsCheapestAdmittedCopy(t *testing.T) {
+// TestReplicatedSubmitCostsCheapestCopy: among its copies the submit
+// costs the fastest one — the copy routing would dial first.
+func TestReplicatedSubmitCostsCheapestCopy(t *testing.T) {
 	h := costmodel.New()
 	sub := replicatedSubmit()
 	for i := 0; i < 4; i++ {
@@ -50,7 +25,6 @@ func TestReplicatedSubmitCostsCheapestAdmittedCopy(t *testing.T) {
 		h.Record("r0b", sub.Input, 5*time.Millisecond, 10)
 	}
 	o := New(fullCaps(), h)
-	o.SetAvailability(func(string) bool { return true }, 2000)
 	cost := o.estimate(sub)
 	if cost.SourceTime < 4 || cost.SourceTime > 10 {
 		t.Errorf("SourceTime = %vms, want ~5ms (the faster copy), not the primary's ~50ms", cost.SourceTime)
