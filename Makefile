@@ -10,7 +10,7 @@ GO ?= go
 # clean. CI reads this via `make print-staticcheck-version`.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: check fmt vet lint disco-lint print-staticcheck-version test test-race fuzz-smoke bench-module bench bench-all bench-compile build chaos
+.PHONY: check fmt vet lint disco-lint print-staticcheck-version test test-race fuzz-smoke bench-module bench bench-compile build chaos
 
 check: fmt lint test-race bench-module
 
@@ -97,13 +97,6 @@ bench:
 # chaos timelines are seeded, so a failure replays.
 chaos:
 	$(GO) test -race -run 'TestChaosSoak|TestProxy|TestAdmission|TestRetryBudget|TestMediatorCloseWithQueriesQueued|TestQueryShed|TestClassifySourceError|TestHedgeLoserReclaimsServerWork|TestCallerCancelReclaimsServerWork' ./internal/chaos/ ./internal/core/ ./internal/harness/
-
-# The Go micro- and macro-benchmarks of bench_test.go, benchstat-
-# compatible. BENCH_PR2..9.json are earlier PRs' runs of subsets of these,
-# kept as the historical baseline (they include the dial-per-request and
-# no-cancel rows whose code is gone).
-bench-all:
-	$(GO) test -run xxx -bench . -benchmem .
 
 # Compile-and-smoke every benchmark in every package (one iteration each)
 # so bench rot fails CI rather than lingering.

@@ -1,26 +1,21 @@
 package disco
 
-// Go micro- and macro-benchmarks, one per mechanism the package doc in
-// disco.go describes (run: go test -bench=. -benchmem, or make bench-all).
-// The corresponding human-readable tables come from cmd/disco-bench; these
-// give the machine-readable timings per operation, plus ablations for the
-// design choices (join algorithm, Earley recognition, plan caching, wire
-// encoding). The repository's gating benchmark is bench/ (bench/README.md).
+// Go benchmarks, one per mechanism the package doc in disco.go describes
+// (run: go test -bench=. -benchmem). The corresponding human-readable
+// tables come from cmd/disco-bench; these give the machine-readable
+// timings per operation, plus ablations for the design choices (join
+// algorithm, Earley recognition, plan caching, wire encoding). Speed
+// claims come from bench/, the repository's gating benchmark
+// (bench/README.md).
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"disco/internal/algebra"
 	"disco/internal/capability"
-	"disco/internal/catalog"
 	"disco/internal/core"
 	"disco/internal/costmodel"
 	"disco/internal/harness"
@@ -29,7 +24,6 @@ import (
 	"disco/internal/physical"
 	"disco/internal/source"
 	"disco/internal/types"
-	"disco/internal/wire"
 )
 
 const paperQuery = `select x.name from x in person where x.salary > 10`
@@ -290,50 +284,6 @@ func BenchmarkPartitionPruning(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkRemoteQuery measures the wire layer itself: point queries over
-// real TCP from 1/4/16 concurrent client goroutines sharing one client's
-// pooled, multiplexed connections — the per-submit cost every remote
-// scenario (federation, sharding, partial answers) pays. BENCH_PR3.json
-// keeps the dial-per-request rows these replaced.
-func BenchmarkRemoteQuery(b *testing.B) {
-	store := source.NewRelStore()
-	if err := source.GenPeople(store, "person0", 200, 0); err != nil {
-		b.Fatal(err)
-	}
-	srv, err := wire.NewServer("127.0.0.1:0", core.EngineHandler{Engine: store})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	const q = `select name from person0 where id = 7`
-
-	for _, clients := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("pooled/clients=%d", clients), func(b *testing.B) {
-			c := wire.NewClient(srv.Addr())
-			defer c.Close()
-			b.ResetTimer()
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < clients; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for next.Add(1) <= int64(b.N) {
-						ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-						_, err := c.Query(ctx, wire.LangSQL, q)
-						cancel()
-						if err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
 		})
 	}
 }
@@ -851,399 +801,6 @@ func harnessUpper(b *testing.B, lowerAddr string) *core.Mediator {
 	return upper
 }
 
-// dropProxy forwards TCP bytes to a backend until drop flips, after which
-// it silently discards everything — a source that served traffic (and so
-// has cost history) and then went dark without closing anything, the
-// §4 unavailability whose timeout the circuit breaker exists to skip.
-type dropProxy struct {
-	lis     net.Listener
-	backend string
-	drop    atomic.Bool
-}
-
-func newDropProxy(b *testing.B, backend string) *dropProxy {
-	b.Helper()
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := &dropProxy{lis: lis, backend: backend}
-	go func() {
-		for {
-			client, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			server, err := net.Dial("tcp", backend)
-			if err != nil {
-				client.Close()
-				continue
-			}
-			forward := func(dst, src net.Conn) {
-				buf := make([]byte, 4096)
-				for {
-					n, err := src.Read(buf)
-					if n > 0 && !p.drop.Load() {
-						if _, werr := dst.Write(buf[:n]); werr != nil {
-							return
-						}
-					}
-					if err != nil {
-						return
-					}
-				}
-			}
-			go forward(server, client)
-			go forward(client, server)
-		}
-	}()
-	b.Cleanup(func() { lis.Close() })
-	return p
-}
-
-// BenchmarkFailover measures a point query over a replicated extent whose
-// primary served traffic (so routing's cost history prefers it) and then
-// went dark. The cold row has the circuit breaker effectively disabled:
-// every query re-pays the dead primary's attempt share of the evaluation
-// deadline before failing over to the replica. The warm row primed the
-// breaker with one failed query, so routing skips the primary and goes
-// straight to the live replica. The gap is the failover story's headline
-// number.
-func BenchmarkFailover(b *testing.B) {
-	const timeout = 100 * time.Millisecond
-	const q = `select x.name from x in people where x.id = 7`
-	newMediator := func(b *testing.B, opts ...core.Option) (*core.Mediator, *dropProxy) {
-		b.Helper()
-		primary := source.NewRelStore()
-		replica := source.NewRelStore()
-		for _, s := range []*source.RelStore{primary, replica} {
-			if err := source.GenPeople(s, "people", 50, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-		srv, err := wire.NewServer("127.0.0.1:0", core.EngineHandler{Engine: primary})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { srv.Close() })
-		proxy := newDropProxy(b, srv.Addr())
-		// The replica is a touch slower than the primary, so the learned
-		// cost history keeps preferring the (now dark) primary — the case
-		// where only the breaker, not history, can stop the bleeding.
-		repSrv, err := wire.NewServer("127.0.0.1:0", core.EngineHandler{Engine: replica})
-		if err != nil {
-			b.Fatal(err)
-		}
-		repSrv.SetLatency(2 * time.Millisecond)
-		b.Cleanup(func() { repSrv.Close() })
-		m := core.New(append([]core.Option{core.WithTimeout(timeout)}, opts...)...)
-		b.Cleanup(m.Close)
-		if err := m.ExecODL(`
-			r0 := Repository(address="` + proxy.lis.Addr().String() + `");
-			r0b := Repository(address="` + repSrv.Addr() + `");
-			w0 := WrapperPostgres();
-			interface Person (extent person) {
-			    attribute Short id;
-			    attribute String name;
-			    attribute Short salary;
-			}
-			extent people of Person wrapper w0 at r0|r0b;
-		`); err != nil {
-			b.Fatal(err)
-		}
-		// The primary answers a few queries first: the learned cost
-		// history now prefers it, as it would in any live deployment.
-		for i := 0; i < 3; i++ {
-			if _, err := m.Query(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-		proxy.drop.Store(true)
-		return m, proxy
-	}
-
-	b.Run("cold-timeout-path", func(b *testing.B) {
-		// Threshold too high to ever open: every iteration waits out the
-		// primary's share of the deadline, the pre-breaker behaviour.
-		m, _ := newMediator(b, core.WithBreaker(1<<30, time.Hour))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Query(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("breaker-warm", func(b *testing.B) {
-		m, _ := newMediator(b, core.WithBreaker(1, time.Hour))
-		if _, err := m.Query(q); err != nil { // prime: opens r0's breaker
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Query(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// latQuantile reports the q-quantile of the recorded per-query latencies.
-func latQuantile(lats []time.Duration, q float64) time.Duration {
-	if len(lats) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), lats...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(q * float64(len(s)))
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
-}
-
-// BenchmarkHedgedTail: one shard whose primary copy is consistently 20x
-// slower than its replica, read under load balancing. The balancer's weight
-// floor keeps ~5% of reads on the slow copy (it must stay measured to be
-// trusted again), so the unhedged p99 tracks the slow copy's 40ms. With
-// hedging, a read outlasting the healthy copies' p99 fires a backup submit
-// to the fast copy and the tail collapses to about twice the fast copy's
-// latency (one p99 trigger wait plus one fast service time). Compare the
-// p99-ms metric across the two sub-benchmarks.
-func BenchmarkHedgedTail(b *testing.B) {
-	const q = `select x.name from x in people where x.id = 7`
-	const fastLat = 2 * time.Millisecond
-	const slowLat = 40 * time.Millisecond
-	newMediator := func(b *testing.B, opts ...core.Option) *core.Mediator {
-		b.Helper()
-		odl := ""
-		for repo, lat := range map[string]time.Duration{"r0": slowLat, "r0b": fastLat} {
-			s := source.NewRelStore()
-			if err := source.GenPeople(s, "people", 50, 0); err != nil {
-				b.Fatal(err)
-			}
-			srv, err := wire.NewServer("127.0.0.1:0", core.EngineHandler{Engine: s})
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv.SetLatency(lat)
-			b.Cleanup(func() { srv.Close() })
-			odl += repo + ` := Repository(address="` + srv.Addr() + `");` + "\n"
-		}
-		m := core.New(append([]core.Option{
-			core.WithTimeout(2 * time.Second), core.WithLoadBalancing(),
-		}, opts...)...)
-		b.Cleanup(m.Close)
-		if err := m.ExecODL(odl + `
-			w0 := WrapperPostgres();
-			interface Person (extent person) {
-			    attribute Short id;
-			    attribute String name;
-			    attribute Short salary;
-			}
-			extent people of Person wrapper w0 at r0|r0b;
-		`); err != nil {
-			b.Fatal(err)
-		}
-		// Warm the latency windows: the balancer needs both copies measured
-		// to weight them, and the hedge trigger needs the fast copy's p99 —
-		// enough rounds that connection-setup noise rotates out of the
-		// sliding window and the p99 settles at the steady service time.
-		for i := 0; i < 80; i++ {
-			if _, err := m.Query(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return m
-	}
-	run := func(b *testing.B, m *core.Mediator) {
-		lats := make([]time.Duration, 0, b.N)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			start := time.Now()
-			if _, err := m.Query(q); err != nil {
-				b.Fatal(err)
-			}
-			lats = append(lats, time.Since(start))
-		}
-		b.ReportMetric(float64(latQuantile(lats, 0.50))/1e6, "p50-ms")
-		b.ReportMetric(float64(latQuantile(lats, 0.99))/1e6, "p99-ms")
-	}
-	b.Run("unhedged", func(b *testing.B) {
-		run(b, newMediator(b))
-	})
-	b.Run("hedged", func(b *testing.B) {
-		run(b, newMediator(b, core.WithHedging(time.Millisecond)))
-	})
-}
-
-// serialEngine models a copy with capacity one query per service time: the
-// mutex serializes the sleep, so concurrent load queues behind it — unlike
-// delayEngine, whose sleeps overlap freely.
-type serialEngine struct {
-	inner source.Engine
-	mu    sync.Mutex
-	d     time.Duration
-}
-
-func (e *serialEngine) Query(q string) (*types.Bag, error) {
-	e.mu.Lock()
-	time.Sleep(e.d)
-	e.mu.Unlock()
-	return e.inner.Query(q)
-}
-
-func (e *serialEngine) Collections() []string { return e.inner.Collections() }
-
-// BenchmarkReplicaThroughput drives one extent with 16 concurrent readers
-// while its replica group grows from 1 to 4 copies, each copy serving one
-// query per 2ms. Load balancing spreads the reads, so ns/op should drop
-// roughly in proportion to the copy count — the aggregate read capacity
-// replication buys once reads stop pinning the primary.
-func BenchmarkReplicaThroughput(b *testing.B) {
-	const q = `select x.name from x in people where x.id = 7`
-	const service = 2 * time.Millisecond
-	const workers = 16
-	names := []string{"r0", "r0b", "r0c", "r0d"}
-	for _, copies := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("copies=%d", copies), func(b *testing.B) {
-			m := core.New(core.WithTimeout(10*time.Second), core.WithLoadBalancing())
-			b.Cleanup(m.Close)
-			odl := ""
-			group := ""
-			for i := 0; i < copies; i++ {
-				s := source.NewRelStore()
-				if err := source.GenPeople(s, "people", 50, 0); err != nil {
-					b.Fatal(err)
-				}
-				m.RegisterEngine(names[i], &serialEngine{inner: s, d: service})
-				odl += names[i] + ` := Repository(address="mem:` + names[i] + `");` + "\n"
-				if i > 0 {
-					group += "|"
-				}
-				group += names[i]
-			}
-			if err := m.ExecODL(odl + `
-				w0 := WrapperPostgres();
-				interface Person (extent person) {
-				    attribute Short id;
-				    attribute String name;
-				    attribute Short salary;
-				}
-				extent people of Person wrapper w0 at ` + group + `;
-			`); err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 8*copies; i++ { // let the balancer measure every copy
-				if _, err := m.Query(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for next.Add(1) <= int64(b.N) {
-						if _, err := m.Query(q); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-		})
-	}
-}
-
-// BenchmarkOverload measures overload protection at 1x/2x/4x saturation:
-// closed-loop clients at multiples of the admission gate's concurrency
-// limit. The metrics that matter are the custom ones — goodput-q/s should
-// hold near capacity as offered load grows, shed-% should absorb the
-// excess, and p99-ms of admitted queries should stay bounded instead of
-// climbing to the deadline (the collapse shedding prevents).
-func BenchmarkOverload(b *testing.B) {
-	const (
-		maxConcurrent = 4
-		slo           = 200 * time.Millisecond
-	)
-	for _, mult := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("load=%dx", mult), func(b *testing.B) {
-			f, err := harness.NewPersonFleet(harness.FleetConfig{
-				Sources: 2, RowsPerSource: 50, TCP: true,
-				Latency:       5 * time.Millisecond,
-				Timeout:       slo,
-				MaxConcurrent: maxConcurrent,
-				MaxQueued:     maxConcurrent,
-				MaxQueueWait:  slo / 2,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer f.Close()
-			for i := 0; i < 4; i++ {
-				if _, err := f.M.Query(paperQuery); err != nil {
-					b.Fatal(err)
-				}
-			}
-			clients := mult * maxConcurrent
-			var (
-				mu        sync.Mutex
-				latencies []time.Duration
-				shed      int64
-				errs      int64
-			)
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			start := time.Now()
-			for w := 0; w < clients; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for next.Add(1) <= int64(b.N) {
-						ctx, cancel := context.WithTimeout(context.Background(), slo)
-						t0 := time.Now()
-						_, err := f.M.QueryContext(ctx, paperQuery)
-						elapsed := time.Since(t0)
-						cancel()
-						mu.Lock()
-						switch {
-						case err == nil:
-							latencies = append(latencies, elapsed)
-						case core.IsOverloadError(err):
-							shed++
-						default:
-							errs++
-						}
-						mu.Unlock()
-						if err != nil {
-							// Back off after a shed, as OverloadError asks of
-							// callers — without it the shed clients busy-spin
-							// and the benchmark measures scheduler contention.
-							time.Sleep(2 * time.Millisecond)
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			elapsed := time.Since(start).Seconds()
-			if errs > int64(b.N)/100+1 {
-				b.Errorf("%d of %d queries failed with non-overload errors", errs, b.N)
-			}
-			b.ReportMetric(float64(len(latencies))/elapsed, "goodput-q/s")
-			b.ReportMetric(100*float64(shed)/float64(b.N), "shed-%")
-			if len(latencies) > 0 {
-				sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-				p99 := latencies[int(0.99*float64(len(latencies)-1))]
-				b.ReportMetric(float64(p99.Milliseconds()), "p99-ms")
-			}
-		})
-	}
-}
-
 // BenchmarkOQLParse measures the front of the pipeline on a representative
 // reconciliation view.
 func BenchmarkOQLParse(b *testing.B) {
@@ -1255,215 +812,4 @@ func BenchmarkOQLParse(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkCancellation measures what end-to-end cancellation buys under a
-// workload that abandons most of its requests — the hedge-loser / impatient-
-// caller regime. One source with a small server-side in-flight cap and 20ms
-// of injected latency serves two populations: "abandoner" clients whose 4ms
-// deadlines lapse on every call, and "survivor" clients with generous
-// deadlines that retry overload sheds until they succeed. Goodput is the
-// survivors' completion rate.
-//
-// An abandoned request frees its server slot as soon as the cancel frame
-// lands — the latency sleep aborts and the handler never runs — so zombies
-// occupy a fraction of the cap and survivors get through. BENCH_PR8.json
-// keeps the no-cancel-baseline row of the pre-cancellation protocol, where
-// every abandoned request held its slot for the full 20ms and executed for
-// nobody. wasted-exec counts handler executions whose caller had already
-// walked away (the work cancellation exists to avoid).
-func BenchmarkCancellation(b *testing.B) {
-	const (
-		serverCap   = 4
-		latency     = 20 * time.Millisecond
-		abandoners  = 6
-		abandonWait = 4 * time.Millisecond
-		survivors   = 2
-	)
-	b.Run("propagate-cancel", func(b *testing.B) {
-		store := source.NewRelStore()
-		if err := source.GenPeople(store, "people", 20, 1); err != nil {
-			b.Fatal(err)
-		}
-		srv, err := wire.NewServer("127.0.0.1:0", core.EngineHandler{Engine: store},
-			wire.WithMaxServerInflight(serverCap))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Close()
-		srv.SetLatency(latency)
-
-		abandonC := wire.NewClient(srv.Addr())
-		defer abandonC.Close()
-		surviveC := wire.NewClient(srv.Addr())
-		defer surviveC.Close()
-
-		// Offered zombie load: each abandoner issues a doomed request,
-		// waits out its 4ms budget, pauses, repeats. The pacing keeps the
-		// zombie arrival rate fixed across variants, so the only variable
-		// is how long each zombie holds its server slot.
-		stop := make(chan struct{})
-		var awg sync.WaitGroup
-		for w := 0; w < abandoners; w++ {
-			awg.Add(1)
-			go func() {
-				defer awg.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					ctx, cancel := context.WithTimeout(context.Background(), abandonWait)
-					_, _ = abandonC.Query(ctx, wire.LangSQL, "SELECT id FROM people")
-					cancel()
-					time.Sleep(8 * time.Millisecond)
-				}
-			}()
-		}
-
-		handlerRunsBefore := srv.Stats().Queries.Load()
-		var completed, sheds atomic.Int64
-		var next atomic.Int64
-		var swg sync.WaitGroup
-		b.ResetTimer()
-		start := time.Now()
-		for w := 0; w < survivors; w++ {
-			swg.Add(1)
-			go func() {
-				defer swg.Done()
-				for next.Add(1) <= int64(b.N) {
-					for {
-						ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-						_, err := surviveC.Query(ctx, wire.LangSQL, "SELECT id FROM people")
-						cancel()
-						if err == nil {
-							completed.Add(1)
-							break
-						}
-						var oe *wire.OverloadedError
-						if !errors.As(err, &oe) {
-							b.Errorf("survivor query: %v", err)
-							return
-						}
-						// Shed at the cap: back off briefly and retry, as
-						// the overload frame asks. Time spent here is the
-						// cost of the cap being full of zombies.
-						sheds.Add(1)
-						time.Sleep(time.Millisecond)
-					}
-				}
-			}()
-		}
-		swg.Wait()
-		elapsed := time.Since(start).Seconds()
-		b.StopTimer()
-		close(stop)
-		awg.Wait()
-
-		handlerRuns := srv.Stats().Queries.Load() - handlerRunsBefore
-		wasted := handlerRuns - completed.Load()
-		if wasted < 0 {
-			wasted = 0
-		}
-		b.ReportMetric(float64(completed.Load())/elapsed, "goodput-q/s")
-		b.ReportMetric(float64(sheds.Load())/float64(b.N), "sheds/op")
-		b.ReportMetric(float64(wasted)/float64(b.N), "wasted-exec/op")
-	})
-}
-
-// BenchmarkLiveMigration measures what a live shard move costs its readers.
-// One range-partitioned extent serves a range query that lands inside the
-// migrating shard; the sub-benchmarks sample read latency at the three
-// resting states of the move — before it starts, parked at dual-read (the
-// read is a distinct union over both placements), and after cutover — so
-// the dual-read tax shows up as the p50/p99 delta against steady state.
-// The cutover itself happens under concurrent readers; the cutover-errors
-// metric counts their failures (the contract is zero: reads flip from old
-// to new placement on a catalog version bump, never through an error).
-func BenchmarkLiveMigration(b *testing.B) {
-	const q = `select x.name from x in people where x.id >= 12 and x.id < 24`
-	// The injected per-reply latency stands in for real source service time,
-	// so the dual-read comparison measures the union of two *parallel*
-	// placement reads rather than the fan-out's constant setup cost.
-	f, err := harness.NewShardedFleet(harness.ShardedFleetConfig{
-		Shards: 3, Spares: 1, Rows: 36,
-		TCP: true, Latency: 2 * time.Millisecond, Timeout: 2 * time.Second,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
-	ctx := context.Background()
-	advanceTo := func(want string) {
-		b.Helper()
-		phase, _, err := f.M.AdvanceMigration(ctx, "people")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if phase != want {
-			b.Fatalf("advanced to %s, want %s", phase, want)
-		}
-	}
-	measure := func(b *testing.B) {
-		lats := make([]time.Duration, 0, b.N)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			start := time.Now()
-			if _, err := f.M.Query(q); err != nil {
-				b.Fatal(err)
-			}
-			lats = append(lats, time.Since(start))
-		}
-		b.ReportMetric(float64(latQuantile(lats, 0.50))/1e6, "p50-ms")
-		b.ReportMetric(float64(latQuantile(lats, 0.99))/1e6, "p99-ms")
-	}
-
-	b.Run("steady", measure)
-
-	// Park the move at dual-read: declared -> copying -> dual-read (the
-	// second advance runs the copy), a resting state queries see directly.
-	if err := f.M.BeginShardMove("people", "r1", "r3"); err != nil {
-		b.Fatal(err)
-	}
-	advanceTo(catalog.PhaseCopying)
-	advanceTo(catalog.PhaseDualRead)
-	b.Run("dual-read", measure)
-
-	// Cut over while 8 readers hammer the migrating range, then count their
-	// errors: the placement flip must be invisible to them.
-	var cutoverErrs atomic.Int64
-	var once sync.Once
-	b.Run("after-cutover", func(b *testing.B) {
-		once.Do(func() {
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			for w := 0; w < 8; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						if _, err := f.M.Query(q); err != nil {
-							cutoverErrs.Add(1)
-						}
-					}
-				}()
-			}
-			advanceTo(catalog.PhaseCutover)
-			if _, done, err := f.M.AdvanceMigration(ctx, "people"); err != nil {
-				b.Fatal(err)
-			} else if !done {
-				b.Fatal("cutover -> done did not finish the migration")
-			}
-			close(stop)
-			wg.Wait()
-		})
-		measure(b)
-		b.ReportMetric(float64(cutoverErrs.Load()), "cutover-errors")
-	})
 }

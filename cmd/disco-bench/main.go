@@ -1,6 +1,6 @@
 // Command disco-bench prints the experiment tables of internal/harness:
 // the two paper figures run as living systems (F1, F2) and the experiments
-// derived from the paper's claims (E1–E9). The repository's gating
+// derived from the paper's claims (E1–E7). The repository's gating
 // benchmark is a different program, bench/ (see bench/README.md).
 //
 // Usage:
@@ -11,11 +11,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
 	"time"
 
@@ -24,30 +22,23 @@ import (
 
 func main() {
 	var (
-		exps  = flag.String("exp", "f1,f2,e1,e2,e3,e4,e5,e6,e7,e8,e9", "comma-separated experiment ids")
+		exps  = flag.String("exp", "f1,f2,e1,e2,e3,e4,e5,e6,e7", "comma-separated experiment ids")
 		quick = flag.Bool("quick", false, "reduced problem sizes")
 	)
 	flag.Parse()
-	// The process root context: ^C cancels the in-flight experiment's
-	// generators instead of killing them mid-measurement.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if err := run(ctx, strings.Split(*exps, ","), *quick); err != nil {
+	if err := run(strings.Split(*exps, ","), *quick); err != nil {
 		fmt.Fprintln(os.Stderr, "disco-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, ids []string, quick bool) error {
+func run(ids []string, quick bool) error {
 	e1ns := []int{1, 2, 4, 8, 16, 32}
 	e1trials := 10
 	e3rows := 4000
 	e5ns := []int{1, 2, 4, 8, 16, 32, 64}
 	e7rows := 1500
 	e7lat := []time.Duration{0, 10 * time.Millisecond, 40 * time.Millisecond}
-	e8clients := []int{1, 4, 16}
-	e8per := 200
-	e9 := harness.OverloadSweepConfig{Duration: 2 * time.Second}
 	if quick {
 		e1ns = []int{1, 2, 4, 8}
 		e1trials = 4
@@ -55,10 +46,6 @@ func run(ctx context.Context, ids []string, quick bool) error {
 		e5ns = []int{1, 4, 16}
 		e7rows = 300
 		e7lat = []time.Duration{0, 10 * time.Millisecond}
-		e8clients = []int{1, 4}
-		e8per = 50
-		e9.Duration = 400 * time.Millisecond
-		e9.Multipliers = []int{1, 2}
 	}
 
 	for _, id := range ids {
@@ -85,10 +72,6 @@ func run(ctx context.Context, ids []string, quick bool) error {
 			table, err = harness.E6Modeling()
 		case "e7":
 			table, err = harness.E7WideArea(e7rows, e7lat)
-		case "e8":
-			table, err = harness.E8ConnectionScaling(ctx, e8clients, e8per)
-		case "e9":
-			table, err = harness.E9Overload(ctx, e9)
 		case "":
 			continue
 		default:

@@ -273,6 +273,35 @@ func TestFailoverConcurrentQueries(t *testing.T) {
 	}
 }
 
+// TestFailoverEveryQueryWithoutBreaker: a primary that served traffic, so
+// that routing's cost history prefers it, goes dark. With a breaker that
+// can never open, a query that dials the dead primary first waits out its
+// attempt share of the deadline, and every query must still complete via
+// the replica.
+func TestFailoverEveryQueryWithoutBreaker(t *testing.T) {
+	m, servers := replicatedMediator(t, WithTimeout(400*time.Millisecond), WithBreaker(1<<30, time.Hour))
+	const q = `select x from x in people`
+	want := wantAll()
+	for i := 0; i < 3; i++ {
+		if _, err := m.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	servers["r0"].SetAvailable(false)
+	for i := 0; i < 3; i++ {
+		v, err := m.Query(q)
+		if err != nil {
+			t.Fatalf("query %d after the primary went dark: %v", i, err)
+		}
+		if !v.Equal(want) {
+			t.Fatalf("query %d: answer = %s, want %s", i, v, want)
+		}
+	}
+	if got := m.BreakerState("r0"); got != BreakerClosed {
+		t.Errorf("breaker for r0 = %v, want closed: the test must exercise the timeout path", got)
+	}
+}
+
 // TestPrunedShardNeverDialsReplicas: partition pruning composes with
 // replication — a point query touches exactly one copy of one shard, and
 // the pruned shards' replicas are never dialed either.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -39,6 +40,49 @@ func TestLoadBalancingSpreadsReads(t *testing.T) {
 		if n := servers[repo].Stats().Queries.Load(); n == 0 {
 			t.Errorf("copy %s served no queries under load balancing", repo)
 		}
+	}
+}
+
+// TestLoadBalancedConcurrentReads: concurrent readers over a shard whose
+// primary is 20x slower than its replica all get the full answer under
+// load balancing, with and without hedging.
+func TestLoadBalancedConcurrentReads(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"unhedged", []Option{WithLoadBalancing()}},
+		{"hedged", []Option{WithLoadBalancing(), WithHedging(time.Millisecond)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, servers := replicatedMediator(t, tc.opts...)
+			servers["r0"].SetLatency(40 * time.Millisecond)
+			servers["r0b"].SetLatency(2 * time.Millisecond)
+			want := wantAll()
+			var wg sync.WaitGroup
+			errs := make(chan error, 8)
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 5; i++ {
+						v, err := m.Query(`select x from x in people`)
+						if err == nil && !v.Equal(want) {
+							err = fmt.Errorf("answer = %s, want %s", v, want)
+						}
+						if err != nil {
+							errs <- err
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
+			}
+		})
 	}
 }
 

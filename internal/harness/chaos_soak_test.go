@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -289,4 +290,16 @@ func TestChaosSoakFlakyLinksDegradeNotError(t *testing.T) {
 	if !recovered {
 		t.Fatal("no full recovery after the chaos script ended")
 	}
+}
+
+// quantileDuration returns the q-quantile of ds (0 when empty).
+func quantileDuration(ds []time.Duration, q float64) time.Duration {
+	if len(ds) == 0 {
+		return 0
+	}
+	sorted := make([]time.Duration, len(ds))
+	copy(sorted, ds)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	idx := int(q * float64(len(sorted)-1))
+	return sorted[idx]
 }

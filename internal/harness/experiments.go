@@ -1,19 +1,15 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 
 	"disco/internal/algebra"
-	"disco/internal/core"
-	"disco/internal/source"
+	"disco/internal/oql"
 	"disco/internal/types"
-	"disco/internal/wire"
 )
 
 // paperQuery is the §1.2 query used throughout the experiments.
@@ -117,26 +113,25 @@ func E1Availability(ns []int, p float64, trials int, timeout time.Duration) (*Ta
 		full, partialCount := 0, 0
 		dataFrac := 0.0
 		for trial := 0; trial < trials; trial++ {
-			up := 0
 			for i := 0; i < n; i++ {
-				avail := r.Float64() < p
-				f.SetAvailable(i, avail)
-				if avail {
-					up++
-				}
+				f.SetAvailable(i, r.Float64() < p)
 			}
 			ans, err := f.M.QueryPartial(`select x.name from x in person`)
 			if err != nil {
 				f.Close()
 				return nil, err
 			}
+			// The fraction is read off the answer itself, so a partial
+			// answer that lost an answered source's rows shows here.
+			rows := 0
 			if ans.Complete {
 				full++
-				dataFrac += 1
+				rows = ans.Value.(*types.Bag).Len()
 			} else {
 				partialCount++
-				dataFrac += float64(up) / float64(n)
+				rows = residualRows(ans.Residual)
 			}
+			dataFrac += float64(rows) / float64(f.RowsPerSource*n)
 		}
 		f.Close()
 		t.Rows = append(t.Rows, []string{
@@ -150,6 +145,25 @@ func E1Availability(ns []int, p float64, trials int, timeout time.Duration) (*Ta
 	t.Notes = append(t.Notes,
 		"full answers track p^n; partial semantics always answers, returning the available fraction")
 	return t, nil
+}
+
+// residualRows counts the data a partial answer carries: the elements of
+// the bag constants folded into its residual, which for E1's query has the
+// form union(select ... from x in person_i, ..., bag(...)).
+func residualRows(e oql.Expr) int {
+	switch x := e.(type) {
+	case *oql.Literal:
+		if b, ok := x.Val.(*types.Bag); ok {
+			return b.Len()
+		}
+	case *oql.Call:
+		n := 0
+		for _, a := range x.Args {
+			n += residualRows(a)
+		}
+		return n
+	}
+	return 0
 }
 
 // E2Partial reproduces §1.3/§4 end to end and times each phase.
@@ -498,77 +512,4 @@ func E6Modeling() (*Table, error) {
 	}
 	t.Notes = append(t.Notes, "maps and views add only mediator-side rewriting; pushdown still applies underneath")
 	return t, nil
-}
-
-// E8ConnectionScaling measures how the wire layer's persistent connections
-// scale: point queries against one TCP source from increasing numbers of
-// concurrent application threads over one shared client with pooled,
-// multiplexed connections.
-func E8ConnectionScaling(ctx context.Context, clients []int, queriesPerClient int) (*Table, error) {
-	if len(clients) == 0 {
-		clients = []int{1, 4, 16}
-	}
-	if queriesPerClient <= 0 {
-		queriesPerClient = 200
-	}
-	store := source.NewRelStore()
-	if err := source.GenPeople(store, "person0", 200, 0); err != nil {
-		return nil, err
-	}
-	srv, err := wire.NewServer("127.0.0.1:0", core.EngineHandler{Engine: store})
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Close()
-
-	t := &Table{
-		ID:     "E8",
-		Title:  fmt.Sprintf("connection reuse under concurrency (%d point queries per client)", queriesPerClient),
-		Header: []string{"clients", "pooled q/s"},
-	}
-	for _, n := range clients {
-		qps, err := e8Throughput(ctx, srv.Addr(), n, queriesPerClient)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", n), fmt.Sprintf("%.0f", qps)})
-	}
-	t.Notes = append(t.Notes,
-		"pooled: one shared wire.Client, bounded persistent connections, requests multiplexed and matched by ID")
-	return t, nil
-}
-
-// e8Throughput runs clients*perClient point queries and returns the
-// aggregate queries/second. Each query gets its own deadline within
-// whatever budget ctx still carries.
-func e8Throughput(ctx context.Context, addr string, clients, perClient int) (float64, error) {
-	c := wire.NewClient(addr)
-	defer c.Close()
-	const q = `select name from person0 where id = 7`
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	errCh := make(chan error, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < perClient; j++ {
-				qctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-				_, err := c.Query(qctx, wire.LangSQL, q)
-				cancel()
-				if err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errCh)
-	for err := range errCh {
-		return 0, err
-	}
-	return float64(clients*perClient) / elapsed.Seconds(), nil
 }

@@ -1,5 +1,5 @@
 // Package harness assembles reproducible experiment federations and runs
-// the experiment suite (F1, F2, E1–E9). The same functions back
+// the paper-reproduction suite (F1, F2, E1–E7). The same functions back
 // cmd/disco-bench, which prints the tables, and the repository's Go
 // benchmarks; disco.go's package doc describes the mechanisms they
 // exercise.

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -119,6 +120,28 @@ func TestE1Smoke(t *testing.T) {
 	}
 	if len(tb.Rows) != 2 {
 		t.Errorf("rows = %d", len(tb.Rows))
+	}
+	// The data fraction is measured from the answers' rows, so it must be
+	// a fraction, and the two extremes pin it: every source up returns all
+	// the data in full answers, every source down returns none.
+	for _, row := range tb.Rows {
+		if f, err := strconv.ParseFloat(row[4], 64); err != nil || f < 0 || f > 1 {
+			t.Errorf("data fraction %q outside [0, 1]: %v", row[4], row)
+		}
+	}
+	up, err := E1Availability([]int{3}, 1, 2, 120*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row := up.Rows[0]; row[2] != "2/2" || row[4] != "1.00" {
+		t.Errorf("p = 1: full answers %s, data fraction %s; want 2/2 and 1.00", row[2], row[4])
+	}
+	down, err := E1Availability([]int{3}, 0, 2, 120*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row := down.Rows[0]; row[4] != "0.00" {
+		t.Errorf("p = 0: data fraction %s, want 0.00", row[4])
 	}
 }
 

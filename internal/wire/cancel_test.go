@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -328,6 +329,65 @@ func TestAbandonSendsCancelFrame(t *testing.T) {
 	if err := c.Ping(ctx2); err != nil {
 		t.Fatalf("ping after abandon: %v", err)
 	}
+}
+
+// holdHandler parks a query whose text is "hold" on its context, like
+// blockingHandler, and answers every other query at once.
+type holdHandler struct{ *blockingHandler }
+
+func (h holdHandler) HandleQuery(ctx context.Context, lang, text string) (json.RawMessage, error) {
+	if text == "hold" {
+		return h.blockingHandler.HandleQuery(ctx, lang, text)
+	}
+	return json.RawMessage(`"ok"`), nil
+}
+
+// TestServerInflightCapShedsUntilAbandonReclaims: a server at its
+// WithMaxServerInflight cap answers the next request with the overload
+// frame, which the client surfaces as *OverloadedError; once the caller
+// holding the slot walks away, its cancel frame frees the slot and the
+// shed request, retried, is served.
+func TestServerInflightCapShedsUntilAbandonReclaims(t *testing.T) {
+	h := holdHandler{newBlockingHandler()}
+	s, err := NewServer("127.0.0.1:0", h, WithMaxServerInflight(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	c := NewClient(s.Addr())
+	defer c.Close()
+	hold, abandon := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Query(hold, LangSQL, "hold")
+		done <- err
+	}()
+	<-h.started
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var oe *OverloadedError
+	if _, err := c.Query(ctx, LangSQL, "SELECT 1"); !errors.As(err, &oe) {
+		t.Fatalf("query past the server's cap: err = %v, want *OverloadedError", err)
+	}
+	if n := s.Stats().Shed.Load(); n != 1 {
+		t.Errorf("server Shed = %d, want 1", n)
+	}
+
+	abandon()
+	if err := <-done; err == nil {
+		t.Fatal("held query survived its caller's cancel")
+	}
+	// The slot frees asynchronously after the cancel frame lands: until it
+	// does, a retry may still be shed, but with nothing but the overload.
+	waitFor(t, time.Second, func() bool {
+		_, err := c.Query(ctx, LangSQL, "SELECT 1")
+		if err != nil && !errors.As(err, &oe) {
+			t.Fatalf("retry after abandon: %v", err)
+		}
+		return err == nil
+	}, "retry served once the abandoned request's slot was reclaimed")
 }
 
 // TestCancelledRequestNotCounted makes sure a cancel for an unknown or
